@@ -31,6 +31,7 @@ use sage_core::soak::{run_soak_campaign, SoakConfig};
 use sage_core::sweep::{full_registry, run_sweep};
 use sage_netsim::fuzz::seed_from_env;
 use sage_netsim::sim::Topology;
+use std::time::Instant;
 
 /// Timed repeats per cell when recording a baseline (`--json`); the grid
 /// cells are microsecond-scale, so single-shot timings are all jitter.
@@ -90,8 +91,16 @@ fn main() {
             config.sessions_per_shard *= 2;
             config.rounds *= 2;
         }
+        let start = Instant::now();
         let report = run_soak_campaign(&config);
+        let wall_s = start.elapsed().as_secs_f64();
         print!("{}", report.render());
+        // Wall-clock figures vary by machine, so they stay out of the
+        // virtual-time baseline JSON.
+        println!(
+            "wall_s={wall_s:.3} delivered_pps_wall={:.0}",
+            report.total_delivered() as f64 / wall_s.max(1e-9)
+        );
         if let Some(path) = json_path {
             let note = format!(
                 "Overload-resilience soak baseline: 4 protocols x {} shards \

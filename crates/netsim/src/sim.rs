@@ -30,7 +30,7 @@ use crate::buffer::PacketBuf;
 use crate::headers::ipv4;
 use crate::net::{IcmpResponder, Interface, Network, RouterAction, RouterConfig};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// A point in virtual time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -580,15 +580,24 @@ impl Topology {
 
 /// Static next-hop tables: `next_hop[src][dst]` is the link a packet leaves
 /// `src` on towards `dst`, computed by Dijkstra over link delays with
-/// deterministic `(distance, node index)` tie-breaking.
+/// deterministic `(distance, node index)` tie-breaking — plus the
+/// address→owner index the kernel resolves unicast destinations with.
 #[derive(Debug, Clone)]
 pub struct Routes {
     next_hop: Vec<Vec<Option<LinkId>>>,
+    owners: HashMap<u32, NodeId>,
 }
 
 impl Routes {
     /// Compute shortest-path routes for a topology.
     pub fn compute(topo: &Topology) -> Routes {
+        let mut owners = HashMap::new();
+        for (i, node) in topo.nodes.iter().enumerate() {
+            for (addr, _) in &node.addrs {
+                // First owner wins, as in `Topology::owner_of`.
+                owners.entry(*addr).or_insert(NodeId(i));
+            }
+        }
         let n = topo.nodes.len();
         let mut next_hop = vec![vec![None; n]; n];
         for src in 0..n {
@@ -624,7 +633,13 @@ impl Routes {
             }
             next_hop[src] = via;
         }
-        Routes { next_hop }
+        Routes { next_hop, owners }
+    }
+
+    /// The node that owns `addr` — [`Topology::owner_of`] answered from
+    /// an index built once, instead of a scan over every node.
+    pub fn owner_of(&self, addr: u32) -> Option<NodeId> {
+        self.owners.get(&addr).copied()
     }
 
     /// The link a packet leaves `src` on towards `dst` (None if unreachable
@@ -768,7 +783,7 @@ impl Ctx<'_> {
     /// The node that owns `addr`, if any — soak clients resolve their
     /// peer for [`Ctx::backpressure`] queries with this.
     pub fn owner_of(&self, addr: u32) -> Option<NodeId> {
-        self.topology.owner_of(addr)
+        self.routes.owner_of(addr)
     }
 
     /// The backpressure signal towards `node`: its ingress queue depth as
@@ -791,7 +806,7 @@ impl Ctx<'_> {
     /// True if the kernel can route a packet from this node to `dst` (some
     /// node owns the address and a path exists).
     pub fn has_route(&self, dst: u32) -> bool {
-        match self.topology.owner_of(dst) {
+        match self.routes.owner_of(dst) {
             Some(owner) if owner == self.node => true,
             Some(owner) => self.routes.link_towards(self.node, owner).is_some(),
             None => false,
@@ -843,9 +858,10 @@ pub enum TraceMode {
     #[default]
     Full,
     /// O(1) state per run: only the [`TraceSummary`] counters, the
-    /// virtual-latency histogram and a bounded last-K ring of rendered
-    /// event lines are kept, so million-packet soak runs never hold
-    /// O(packets) memory.  [`EventTrace::events`] stays empty.
+    /// virtual-latency histogram and a bounded last-K ring of events
+    /// (rendered only on read, by [`TraceSummary::render_recent`]) are
+    /// kept, so million-packet soak runs never hold O(packets) memory.
+    /// [`EventTrace::events`] stays empty.
     Summary,
 }
 
@@ -928,7 +944,7 @@ impl LatencyHistogram {
 /// (so Summary-mode percentiles are exactly the Full-mode ones): event
 /// counters, per-node shed counts, the delivery-latency histogram and —
 /// in [`TraceMode::Summary`] only — a bounded ring of the most recent
-/// rendered event lines for post-mortem context.
+/// events for post-mortem context.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Trace events recorded (what `events.len()` would be in Full mode).
@@ -958,18 +974,25 @@ pub struct TraceSummary {
     pub quarantines: u64,
     /// Virtual delivery latency of every `Deliver` (transmit → arrival).
     pub latency: LatencyHistogram,
-    /// The last [`TRACE_RING_CAPACITY`] rendered event lines
+    /// The last [`TRACE_RING_CAPACITY`] events, oldest first
     /// ([`TraceMode::Summary`] only; empty in Full mode, where
-    /// [`EventTrace::events`] has everything).
-    pub last_events: VecDeque<String>,
+    /// [`EventTrace::events`] has everything).  Kept structured; see
+    /// [`TraceSummary::render_recent`] for the text.
+    pub last_events: VecDeque<TraceEvent>,
     /// Virtual time of the most recent event.
     pub last_time: SimTime,
 }
 
 impl TraceSummary {
-    /// Account one event into the counters (and the ring, in Summary
-    /// mode); shared by both trace modes so their statistics coincide.
-    fn account(&mut self, event: &TraceEvent, mode: TraceMode) {
+    /// Render the ring exactly as [`EventTrace::render`] renders the same
+    /// events: the last lines a Full-mode run of the same seed prints.
+    pub fn render_recent(&self) -> String {
+        render_lines(&self.last_events)
+    }
+
+    /// Account one event into the counters; shared by both trace modes
+    /// so their statistics coincide.
+    fn account(&mut self, event: &TraceEvent) {
         self.events_recorded += 1;
         self.last_time = self.last_time.max(event.time);
         match &event.kind {
@@ -994,12 +1017,6 @@ impl TraceSummary {
                     self.shed_by_node[event.node.0] += 1;
                 }
             }
-        }
-        if mode == TraceMode::Summary {
-            if self.last_events.len() == TRACE_RING_CAPACITY {
-                self.last_events.pop_front();
-            }
-            self.last_events.push_back(EventTrace::render_line(event));
         }
     }
 }
@@ -1116,7 +1133,7 @@ impl EventTrace {
     }
 
     /// Render one event exactly as [`EventTrace::render`] would — also
-    /// the line format of the Summary-mode last-K ring.
+    /// the line format of [`TraceSummary::render_recent`].
     pub fn render_line(e: &TraceEvent) -> String {
         fn hex(bytes: &[u8]) -> String {
             bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -1135,16 +1152,21 @@ impl EventTrace {
 
     /// Render the trace deterministically, one line per event with full
     /// packet hex — the byte-identical artifact the determinism tests pin.
-    /// (Summary-mode traces render empty; the last-K ring in
-    /// [`TraceSummary::last_events`] holds the recent lines instead.)
+    /// (Summary-mode traces render empty; [`TraceSummary::render_recent`]
+    /// renders the recent events instead.)
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&EventTrace::render_line(e));
-            out.push('\n');
-        }
-        out
+        render_lines(&self.events)
     }
+}
+
+/// One [`EventTrace::render_line`] per event, each newline-terminated.
+fn render_lines<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(&EventTrace::render_line(e));
+        out.push('\n');
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1676,9 +1698,16 @@ impl Sim {
             node_name,
             kind,
         };
-        self.trace.summary.account(&event, self.trace.mode);
-        if self.trace.mode == TraceMode::Full {
-            self.trace.events.push(event);
+        self.trace.summary.account(&event);
+        match self.trace.mode {
+            TraceMode::Full => self.trace.events.push(event),
+            TraceMode::Summary => {
+                let ring = &mut self.trace.summary.last_events;
+                if ring.len() == TRACE_RING_CAPACITY {
+                    ring.pop_front();
+                }
+                ring.push_back(event);
+            }
         }
     }
 
@@ -1760,7 +1789,7 @@ impl Sim {
             self.trace_event(now, node, TraceEventKind::DeliverLocal);
             return;
         }
-        let Some(owner) = self.topology.owner_of(dst) else {
+        let Some(owner) = self.routes.owner_of(dst) else {
             self.trace_event(now, node, TraceEventKind::Drop("no route to destination"));
             return;
         };

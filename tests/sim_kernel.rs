@@ -8,7 +8,9 @@ use sage_repro::core::sweep::{full_registry, run_sweep};
 use sage_repro::netsim::faulty::FaultyLink;
 use sage_repro::netsim::headers::{icmp, ipv4};
 use sage_repro::netsim::scenario::{reference_scenarios, run_scenario_on};
-use sage_repro::netsim::sim::{Ctx, Node, SimBuilder, Topology};
+use sage_repro::netsim::sim::{
+    Ctx, EventTrace, Node, NodeId, Routes, SimBuilder, Topology, TraceMode, TRACE_RING_CAPACITY,
+};
 
 #[test]
 fn every_reference_scenario_replays_byte_identically_on_every_topology() {
@@ -302,4 +304,136 @@ fn faulty_link_schedule_is_a_pure_function_of_the_seed() {
     };
     assert_eq!(schedule(7), schedule(7));
     assert_ne!(schedule(7), schedule(8));
+}
+
+/// The last `min(TRACE_RING_CAPACITY, n)` lines of a Full-mode render.
+fn last_rendered_lines(full: &EventTrace) -> String {
+    let rendered = full.render();
+    let lines: Vec<&str> = rendered.lines().collect();
+    let tail = &lines[lines.len().saturating_sub(TRACE_RING_CAPACITY)..];
+    tail.iter().map(|l| format!("{l}\n")).collect()
+}
+
+/// Judge one Summary-mode run against the Full-mode run of the same sim:
+/// the ring renders as the tail of the full trace, and the counters agree.
+fn assert_ring_matches_full(label: &str, summary: &EventTrace, full: &EventTrace) {
+    assert!(summary.events.is_empty(), "{label}: Summary kept events");
+    assert_eq!(
+        summary.summary.last_events.len() as u64,
+        full.summary.events_recorded.min(TRACE_RING_CAPACITY as u64),
+        "{label}: ring length"
+    );
+    assert_eq!(
+        summary.summary.render_recent(),
+        last_rendered_lines(full),
+        "{label}: ring differs from the tail of the Full trace"
+    );
+    assert_eq!(
+        summary.summary.events_recorded, full.summary.events_recorded,
+        "{label}: event counts differ"
+    );
+}
+
+#[test]
+fn summary_ring_renders_the_tail_of_the_full_trace_on_every_library_topology() {
+    let registry = reference_scenarios();
+    for scenario in registry.scenarios() {
+        for topology in Topology::library() {
+            let run = |mode: TraceMode| {
+                let mut sim = SimBuilder::new(topology.clone());
+                scenario.bind(&mut sim).unwrap();
+                sim.trace_mode(mode);
+                sim.build().run()
+            };
+            let label = format!("{}/{}", scenario.name(), topology.name);
+            assert_ring_matches_full(&label, &run(TraceMode::Summary), &run(TraceMode::Full));
+        }
+    }
+}
+
+#[test]
+fn summary_ring_renders_the_tail_of_an_overloaded_soak_shard() {
+    use sage_repro::interp::quarantine::reference_soak_service;
+    use sage_repro::netsim::tools::soak::{
+        soak_pair_topology, SoakClientNode, SoakProtocol, SoakServerNode,
+    };
+    const SESSIONS: usize = 8;
+    const INTERVAL_NS: u64 = 1_000_000;
+    let run = |mode: TraceMode| {
+        // Bursts of 8 over a slow link into 4-slot ingress queues: the
+        // overload shape of the soak campaign, which sheds.
+        let topology = soak_pair_topology("ring-overload", SESSIONS, INTERVAL_NS * 2, None);
+        let mut sim = SimBuilder::new(topology);
+        sim.trace_mode(mode).queue_capacity(4).max_events(1_000_000);
+        for i in 0..SESSIONS {
+            let (client, server) = (NodeId(i * 2), NodeId(i * 2 + 1));
+            let client_addr = sim.topology().addr_of(client);
+            let server_addr = sim.topology().addr_of(server);
+            sim.bind(
+                client,
+                Box::new(SoakClientNode::new(
+                    i as u32,
+                    client_addr,
+                    server_addr,
+                    server,
+                    SoakProtocol::Icmp,
+                    20,
+                    8,
+                    INTERVAL_NS,
+                    (i as u64 + 1) * 10_000,
+                )),
+            );
+            let service = reference_soak_service(SoakProtocol::Icmp, i as u32, server_addr);
+            sim.bind(server, Box::new(SoakServerNode { service }));
+        }
+        sim.build().run()
+    };
+    let (summary, full) = (run(TraceMode::Summary), run(TraceMode::Full));
+    assert!(summary.summary.shed > 0, "the shard never shed");
+    assert!(full.summary.events_recorded > TRACE_RING_CAPACITY as u64);
+    assert_ring_matches_full("overload", &summary, &full);
+}
+
+/// Every interface address of `topology`.
+fn interface_addrs(topology: &Topology) -> Vec<u32> {
+    topology
+        .nodes
+        .iter()
+        .flat_map(|n| n.addrs.iter().map(|(a, _)| *a))
+        .collect()
+}
+
+#[test]
+fn owner_index_agrees_with_the_topology_scan() {
+    use sage_repro::netsim::tools::soak::soak_pair_topology;
+    let mut topologies = Topology::library();
+    topologies.push(soak_pair_topology("owner-index", 64, 1_000, None));
+    assert_eq!(topologies.last().unwrap().nodes.len(), 128);
+    for topology in &topologies {
+        let routes = Routes::compute(topology);
+        for addr in interface_addrs(topology) {
+            assert!(topology.owner_of(addr).is_some());
+            assert_eq!(
+                routes.owner_of(addr),
+                topology.owner_of(addr),
+                "{}: owner of {addr:#010x}",
+                topology.name
+            );
+        }
+        let unknown = ipv4::addr(203, 0, 113, 7);
+        assert_eq!(topology.owner_of(unknown), None);
+        assert_eq!(routes.owner_of(unknown), None, "{}", topology.name);
+    }
+}
+
+#[test]
+fn owner_index_resolves_a_duplicated_address_to_the_lower_node() {
+    let dup = ipv4::addr(10, 9, 9, 9);
+    let mut topo = Topology::named("duplicate");
+    let first = topo.router("r1", &[(ipv4::addr(10, 9, 8, 1), 24), (dup, 24)]);
+    let second = topo.host("h1", dup, 24);
+    topo.link(first, second, 1_000);
+    let routes = Routes::compute(&topo);
+    assert_eq!(topo.owner_of(dup), Some(first));
+    assert_eq!(routes.owner_of(dup), Some(first));
 }

@@ -239,7 +239,10 @@ fn summary_mode_memory_is_independent_of_packet_count() {
     );
     assert!(long.summary.delivered > short.summary.delivered * 8);
     assert!(short.events.is_empty() && long.events.is_empty());
-    assert!(long.summary.last_events.len() <= sage_netsim::sim::TRACE_RING_CAPACITY);
+    assert_eq!(
+        long.summary.last_events.len(),
+        sage_netsim::sim::TRACE_RING_CAPACITY
+    );
     assert!(short.summary.last_events.len() <= sage_netsim::sim::TRACE_RING_CAPACITY);
 }
 

@@ -77,11 +77,13 @@ fn evaluation_reports_match_committed_goldens() {
 #[test]
 fn goldens_directory_has_no_orphans() {
     // Every committed golden corresponds to a live snapshot, so renames
-    // cannot silently leave stale files behind.
-    let known: Vec<String> = snapshots()
+    // cannot silently leave stale files behind.  `scenario_traces.txt`
+    // is the snapshot `tests/scenario_traces.rs` compares against.
+    let mut known: Vec<String> = snapshots()
         .iter()
         .map(|(n, _)| format!("{n}.txt"))
         .collect();
+    known.push("scenario_traces.txt".to_string());
     for entry in fs::read_dir(golden_dir()).expect("golden dir exists") {
         let name = entry.expect("dir entry").file_name();
         let name = name.to_string_lossy().into_owned();

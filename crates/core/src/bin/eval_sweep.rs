@@ -24,6 +24,10 @@
 //! ```
 //!
 //! Prints the sweep grid and exits nonzero if any cell fails a check.
+//! Every mode then prints a wall-clock line (`wall_s=…` with
+//! `events_per_s_wall`, `cells_per_s_wall` or `delivered_pps_wall`) on
+//! stdout; it never goes into the `--json` baselines, which hold only
+//! machine-independent figures.
 
 use sage_core::fuzz::{fuzzed_scenarios, run_chaos_campaign, ChaosConfig};
 use sage_core::pool::available_workers;
@@ -139,8 +143,14 @@ fn main() {
             workers,
             ..ChaosConfig::default()
         };
+        let start = Instant::now();
         let report = run_chaos_campaign(&config);
+        let wall_s = start.elapsed().as_secs_f64();
         print!("{}", report.render());
+        println!(
+            "wall_s={wall_s:.3} cells_per_s_wall={:.1}",
+            report.cells.len() as f64 / wall_s.max(1e-9)
+        );
         if let Some(path) = json_path {
             let note = format!(
                 "Chaos recovery baseline: 4 protocols x 2 engines x 5 topologies under \
@@ -182,8 +192,15 @@ fn main() {
         Topology::library()
     };
     let iterations = if smoke { 0 } else { BASELINE_ITERATIONS };
+    let start = Instant::now();
     let report = run_sweep(&registry, &topologies, workers, iterations);
+    let wall_s = start.elapsed().as_secs_f64();
     print!("{}", report.render());
+    let events: usize = report.cells.iter().map(|c| c.events).sum();
+    println!(
+        "wall_s={wall_s:.3} events_per_s_wall={:.0}",
+        events as f64 / wall_s.max(1e-9)
+    );
 
     if let Some(path) = json_path {
         let note = format!(

@@ -556,14 +556,10 @@ pub struct EndToEndRow {
 /// [`ResponderRegistry`](sage_interp::ResponderRegistry) and the
 /// [`Scenario`](sage_netsim::Scenario) registry built over it.
 pub fn end_to_end_summary() -> Vec<EndToEndRow> {
-    use crate::programs::generate_program;
-    use sage_interp::{generated_scenarios, ResponderRegistry};
+    use sage_interp::generated_scenarios;
     use sage_netsim::scenario::run_scenario;
 
-    let mut registry = ResponderRegistry::new();
-    for protocol in Protocol::all() {
-        registry.register(protocol.name(), generate_program(protocol));
-    }
+    let registry = crate::fuzz::generated_responders();
     let mut rows = Vec::new();
     for scenario in generated_scenarios(&registry).scenarios() {
         let run = match run_scenario(scenario.as_ref()) {

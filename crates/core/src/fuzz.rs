@@ -49,8 +49,9 @@ use crate::programs::generate_program;
 /// The protocols a campaign exercises, in grid order.
 pub const FUZZ_PROTOCOLS: [&str; 4] = ["icmp", "igmp", "ntp", "bfd"];
 
-/// One generated program per protocol — the registry the tri-engine
-/// harness draws its VM and tree-walker scenarios from.
+/// One generated program per protocol — the registry the sweep, the
+/// end-to-end summary, the tri-engine harness and the chaos campaign draw
+/// their generated scenarios from.
 pub fn generated_responders() -> ResponderRegistry {
     let mut responders = ResponderRegistry::new();
     for protocol in Protocol::all() {

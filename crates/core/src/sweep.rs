@@ -14,24 +14,19 @@
 
 use std::time::Instant;
 
-use sage_interp::{generated_scenarios, ResponderRegistry};
+use sage_interp::generated_scenarios;
 use sage_netsim::scenario::{reference_scenarios, run_scenario_on, ScenarioRegistry};
 use sage_netsim::sim::Topology;
-use sage_spec::corpus::Protocol;
 
+use crate::fuzz::generated_responders;
 use crate::pool;
-use crate::programs::generate_program;
 
 /// The full scenario registry the sweep runs: the four reference scenarios
 /// (hand-written responders, the interoperation oracle of §6.2) plus the
 /// four generated ones (SAGE-produced programs for ICMP, IGMP, NTP, BFD).
 pub fn full_registry() -> ScenarioRegistry {
-    let mut responders = ResponderRegistry::new();
-    for protocol in Protocol::all() {
-        responders.register(protocol.name(), generate_program(protocol));
-    }
     let mut registry = reference_scenarios();
-    for scenario in generated_scenarios(&responders).scenarios() {
+    for scenario in generated_scenarios(&generated_responders()).scenarios() {
         registry.register(scenario.clone());
     }
     registry

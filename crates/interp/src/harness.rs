@@ -31,7 +31,7 @@ use sage_netsim::fuzz::{
 use sage_netsim::headers::icmp;
 use sage_netsim::net::{IcmpEvent, IcmpResponder, ReferenceResponder};
 use sage_netsim::scenario::{
-    reference_scenarios, run_scenario_on, PingScenario, Scenario, ScenarioRun,
+    reference_scenarios, run_scenario_on, Drive, PingScenario, Scenario, ScenarioRun,
 };
 use sage_netsim::sim::{Topology, TopologyError};
 
@@ -228,6 +228,7 @@ impl IcmpResponder for CanaryResponder {
 pub fn canary_ping_scenario() -> PingScenario {
     PingScenario::new(
         "ping/canary",
+        Drive::Once,
         Arc::new(|| Box::<CanaryResponder>::default()),
     )
 }
@@ -236,7 +237,10 @@ pub fn canary_ping_scenario() -> PingScenario {
 /// reference's — the self-test predicate the shrinker minimises.
 pub fn canary_diverges(schedule: &FaultSchedule, topology: &Topology) -> bool {
     let canary = FuzzedScenario::new(Arc::new(canary_ping_scenario()), schedule.clone());
-    let reference = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule.clone());
+    let reference = FuzzedScenario::new(
+        Arc::new(PingScenario::reference(Drive::Once)),
+        schedule.clone(),
+    );
     let Ok(canary_run) = run_scenario_on(&canary, topology.clone()) else {
         return false;
     };

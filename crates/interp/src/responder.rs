@@ -16,11 +16,12 @@ use sage_codegen::ir::{Function, Program};
 use sage_netsim::buffer::PacketBuf;
 use sage_netsim::headers::{bfd, ntp};
 use sage_netsim::net::{IcmpEvent, IcmpResponder};
-use sage_netsim::scenario::{self, ScenarioRegistry};
+use sage_netsim::scenario::{self, Drive, ScenarioRegistry};
 use sage_netsim::tools::bfd_session::BfdEndpoint;
 use sage_netsim::tools::igmp::IgmpResponder as IgmpResponderTrait;
 use sage_netsim::tools::ntp_exchange::{NtpServer, NtpTimeoutPolicy};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which engine an adapter executes its generated program on.
 ///
@@ -997,7 +998,7 @@ impl ResponderRegistry {
 /// SAGE-generated code in the pluggable role.  Adapters run on the bytecode
 /// VM (the default [`ExecMode`]).
 pub fn generated_scenarios(registry: &ResponderRegistry) -> ScenarioRegistry {
-    generated_scenarios_in_mode(registry, ExecMode::Vm)
+    generated_registry(registry, ExecMode::Vm, Drive::Once)
 }
 
 /// [`generated_scenarios`] with every adapter pinned to `mode`: parity
@@ -1007,12 +1008,43 @@ pub fn generated_scenarios_in_mode(
     registry: &ResponderRegistry,
     mode: ExecMode,
 ) -> ScenarioRegistry {
-    use std::sync::Arc;
+    generated_registry(registry, mode, Drive::Once)
+}
+
+/// The chaos-recovery scenarios with SAGE-generated code in the pluggable
+/// roles, named `<protocol>/chaos-generated`: the same protocol scenarios
+/// under [`Drive::Recover`], so the chaos campaign exercises the generated
+/// responders under crashes, restarts and flaps.
+pub fn generated_chaos_scenarios_in_mode(
+    registry: &ResponderRegistry,
+    mode: ExecMode,
+) -> ScenarioRegistry {
+    generated_registry(registry, mode, Drive::Recover)
+}
+
+/// [`generated_chaos_scenarios_in_mode`] on the bytecode VM (the default
+/// engine the chaos campaign runs generated code on).
+pub fn generated_chaos_scenarios(registry: &ResponderRegistry) -> ScenarioRegistry {
+    generated_registry(registry, ExecMode::Vm, Drive::Recover)
+}
+
+/// One protocol scenario under `drive` per registered program, every
+/// adapter on `mode`.
+fn generated_registry(
+    registry: &ResponderRegistry,
+    mode: ExecMode,
+    drive: Drive,
+) -> ScenarioRegistry {
+    let name = |protocol: &str| match drive {
+        Drive::Once => format!("{protocol}/generated"),
+        Drive::Recover => format!("{protocol}/chaos-generated"),
+    };
     let mut scenarios = ScenarioRegistry::new();
     if registry.program("icmp").is_some() {
         let reg = registry.clone();
         scenarios.register(Arc::new(scenario::PingScenario::new(
-            "ping/generated",
+            &name("ping"),
+            drive,
             Arc::new(move || Box::new(reg.icmp_responder().expect("icmp program").with_mode(mode))),
         )));
     }
@@ -1020,7 +1052,8 @@ pub fn generated_scenarios_in_mode(
         let reg = registry.clone();
         let group = sage_netsim::headers::ipv4::addr(224, 0, 0, 251);
         scenarios.register(Arc::new(scenario::IgmpScenario::new(
-            "igmp/generated",
+            &name("igmp"),
+            drive,
             group,
             Arc::new(move || {
                 Box::new(
@@ -1035,7 +1068,8 @@ pub fn generated_scenarios_in_mode(
         let policy_reg = registry.clone();
         let server_reg = registry.clone();
         scenarios.register(Arc::new(scenario::NtpScenario::new(
-            "ntp/generated",
+            &name("ntp"),
+            drive,
             Arc::new(move || {
                 Box::new(
                     policy_reg
@@ -1070,7 +1104,8 @@ pub fn generated_scenarios_in_mode(
             )
         });
         scenarios.register(Arc::new(scenario::BfdScenario::new(
-            "bfd/generated",
+            &name("bfd"),
+            drive,
             factory.clone(),
             factory,
             (7, 9),
@@ -1078,94 +1113,6 @@ pub fn generated_scenarios_in_mode(
         )));
     }
     scenarios
-}
-
-/// The chaos-recovery scenarios with SAGE-generated code in the pluggable
-/// roles, named `<protocol>/chaos-generated`.  Mirrors
-/// [`generated_scenarios_in_mode`] but wires the
-/// [`sage_netsim::tools::chaos`] recovery drivers, so the chaos campaign
-/// exercises the generated responders under crashes, restarts and flaps.
-pub fn generated_chaos_scenarios_in_mode(
-    registry: &ResponderRegistry,
-    mode: ExecMode,
-) -> ScenarioRegistry {
-    use sage_netsim::tools::chaos;
-    use std::sync::Arc;
-    let mut scenarios = ScenarioRegistry::new();
-    if registry.program("icmp").is_some() {
-        let reg = registry.clone();
-        scenarios.register(Arc::new(chaos::ChaosPingScenario::new(
-            "ping/chaos-generated",
-            Arc::new(move || Box::new(reg.icmp_responder().expect("icmp program").with_mode(mode))),
-        )));
-    }
-    if registry.program("igmp").is_some() {
-        let reg = registry.clone();
-        let group = sage_netsim::headers::ipv4::addr(224, 0, 0, 251);
-        scenarios.register(Arc::new(chaos::ChaosIgmpScenario::new(
-            "igmp/chaos-generated",
-            group,
-            Arc::new(move || {
-                Box::new(
-                    reg.igmp_responder(group)
-                        .expect("igmp program")
-                        .with_mode(mode),
-                )
-            }),
-        )));
-    }
-    if registry.program("ntp").is_some() {
-        let policy_reg = registry.clone();
-        let server_reg = registry.clone();
-        scenarios.register(Arc::new(chaos::ChaosNtpScenario::new(
-            "ntp/chaos-generated",
-            Arc::new(move || {
-                Box::new(
-                    policy_reg
-                        .ntp_timeout_policy()
-                        .expect("ntp program")
-                        .with_mode(mode),
-                )
-            }),
-            Arc::new(move || {
-                Box::new(
-                    server_reg
-                        .ntp_server(2, 0x1000)
-                        .expect("ntp program")
-                        .with_mode(mode),
-                )
-            }),
-            ntp::PeerVariables {
-                timer: 64,
-                threshold: 64,
-                mode: ntp::mode::CLIENT,
-            },
-        )));
-    }
-    if registry.program("bfd").is_some() {
-        let reg = registry.clone();
-        let factory: scenario::BfdFactory = Arc::new(move |local, remote| {
-            Box::new(
-                reg.bfd_endpoint(local, remote)
-                    .expect("bfd program")
-                    .with_mode(mode),
-            )
-        });
-        scenarios.register(Arc::new(chaos::ChaosBfdScenario::new(
-            "bfd/chaos-generated",
-            factory.clone(),
-            factory,
-            (7, 9),
-            (9, 7),
-        )));
-    }
-    scenarios
-}
-
-/// [`generated_chaos_scenarios_in_mode`] on the bytecode VM (the default
-/// engine the chaos campaign runs generated code on).
-pub fn generated_chaos_scenarios(registry: &ResponderRegistry) -> ScenarioRegistry {
-    generated_chaos_scenarios_in_mode(registry, ExecMode::Vm)
 }
 
 #[cfg(test)]

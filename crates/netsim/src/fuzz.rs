@@ -1099,10 +1099,6 @@ impl Scenario for FuzzedScenario {
         self.inner.protocol()
     }
 
-    fn topology(&self) -> Topology {
-        self.inner.topology()
-    }
-
     fn bind(&self, sim: &mut SimBuilder) -> Result<(), TopologyError> {
         self.inner.bind(sim)?;
         self.schedule.apply(sim);
@@ -1165,7 +1161,7 @@ pub fn shrink_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario_on, PingScenario};
+    use crate::scenario::{run_scenario_on, Drive, PingScenario};
 
     #[test]
     fn seed_parsing_accepts_hex_decimal_and_rejects_noise() {
@@ -1248,8 +1244,10 @@ mod tests {
 
     #[test]
     fn clean_schedule_leaves_the_reference_ping_green() {
-        let fuzzed =
-            FuzzedScenario::new(Arc::new(PingScenario::reference()), FaultSchedule::clean());
+        let fuzzed = FuzzedScenario::new(
+            Arc::new(PingScenario::reference(Drive::Once)),
+            FaultSchedule::clean(),
+        );
         let run = run_scenario_on(&fuzzed, Topology::appendix_a()).expect("binds");
         assert!(
             run.ok(),
@@ -1270,7 +1268,7 @@ mod tests {
             }],
             ..FaultSchedule::clean()
         };
-        let fuzzed = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule);
+        let fuzzed = FuzzedScenario::new(Arc::new(PingScenario::reference(Drive::Once)), schedule);
         let run = run_scenario_on(&fuzzed, Topology::appendix_a()).expect("binds");
         assert!(run.ok(), "loss breaks the exchange but not the properties");
         let rendered = run.trace.render();
@@ -1291,7 +1289,7 @@ mod tests {
             }],
             ..FaultSchedule::clean()
         };
-        let fuzzed = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule);
+        let fuzzed = FuzzedScenario::new(Arc::new(PingScenario::reference(Drive::Once)), schedule);
         let run = run_scenario_on(&fuzzed, Topology::appendix_a()).expect("binds without panic");
         assert!(run.ok());
     }
@@ -1307,9 +1305,11 @@ mod tests {
             }],
             ..FaultSchedule::clean()
         };
-        let clean =
-            FuzzedScenario::new(Arc::new(PingScenario::reference()), FaultSchedule::clean());
-        let faulty = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule);
+        let clean = FuzzedScenario::new(
+            Arc::new(PingScenario::reference(Drive::Once)),
+            FaultSchedule::clean(),
+        );
+        let faulty = FuzzedScenario::new(Arc::new(PingScenario::reference(Drive::Once)), schedule);
         let a = run_scenario_on(&clean, Topology::appendix_a()).unwrap();
         let b = run_scenario_on(&faulty, Topology::appendix_a()).unwrap();
         assert!(diff_traces(&a.trace, &a.trace).is_none());

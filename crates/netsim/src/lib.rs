@@ -31,6 +31,7 @@
 pub mod buffer;
 pub mod checksum;
 pub mod faulty;
+mod framing;
 pub mod fuzz;
 pub mod headers;
 pub mod net;

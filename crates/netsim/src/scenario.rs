@@ -10,6 +10,14 @@
 //! calls, so the same exercise runs unchanged on the Appendix-A network, a
 //! line, a star, a ring or a mesh.
 //!
+//! Each protocol has one scenario type — [`PingScenario`],
+//! [`IgmpScenario`], [`NtpScenario`], [`BfdScenario`] — and its [`Drive`]
+//! picks the endpoint handlers and the checks: [`Drive::Once`] runs a single
+//! exchange and judges its happy path; [`Drive::Recover`] runs the
+//! [`crate::tools::chaos`] recovery state machines and judges recovery
+//! evidence.  Node placement, responder factories and the forwarding
+//! fabric are the same under both drives.
+//!
 //! # Contract
 //!
 //! * `bind` must be pure over `&self`: each call creates fresh handler state
@@ -20,18 +28,20 @@
 //! * `assert` judges only the trace (originated packets and notes), which
 //!   keeps verdicts replayable from a rendered trace alone.
 //!
-//! On the Appendix-A topology the originated packets of each scenario are
-//! byte-identical to the exchanges the legacy synchronous drivers produced;
-//! `tests/scenario_parity.rs` pins that equivalence.
+//! On the Appendix-A topology the originated packets of each one-shot
+//! scenario are byte-identical to the exchanges the deprecated synchronous
+//! entry points produced; `tests/scenario_parity.rs` pins that equivalence.
 
 use crate::buffer::PacketBuf;
-use crate::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
+use crate::framing::{self, PING_IDENT, PING_PAYLOAD};
+use crate::headers::{bfd, igmp, ipv4, ntp, udp};
 use crate::net::{IcmpResponder, ReferenceResponder};
 use crate::sim::{
     Ctx, EventTrace, Node, NodeId, RouterNode, SimBuilder, Topology, TopologyError, TraceEventKind,
 };
 use crate::tcpdump::decode_packet;
 use crate::tools::bfd_session::{BfdEndpoint, ReferenceBfdEndpoint, BFD_CONTROL_PORT};
+use crate::tools::chaos::{ChaosBfdEndpoint, ChaosIgmpQuerier, ChaosNtpClient, ChaosPingClient};
 use crate::tools::igmp::{IgmpResponder, ReferenceIgmpResponder};
 use crate::tools::ntp_exchange::{
     NtpServer, NtpTimeoutPolicy, ReferenceNtpServer, ReferenceTimeoutPolicy,
@@ -50,6 +60,18 @@ pub type NtpServerFactory = Arc<dyn Fn() -> Box<dyn NtpServer> + Send + Sync>;
 /// Factory for a BFD endpoint under test, given `(local, remote)`
 /// discriminators.
 pub type BfdFactory = Arc<dyn Fn(u32, u32) -> Box<dyn BfdEndpoint> + Send + Sync>;
+
+/// How a protocol scenario drives its exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drive {
+    /// One exchange — a ping, a query/report, a poll, a bring-up — judged
+    /// by its happy-path checks.
+    Once,
+    /// The [`crate::tools::chaos`] recovery state machines, which keep the
+    /// exchange going past crashes, restarts and link flaps until
+    /// [`crate::tools::CHAOS_HORIZON_NS`]; judged by recovery evidence.
+    Recover,
+}
 
 /// The named pass/fail checks a scenario computed from a trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -81,12 +103,6 @@ pub trait Scenario: Send + Sync {
 
     /// The protocol exercised (`icmp` / `igmp` / `ntp` / `bfd`).
     fn protocol(&self) -> &'static str;
-
-    /// The scenario's preferred topology (the sweep overrides this to run
-    /// the same scenario everywhere).
-    fn topology(&self) -> Topology {
-        Topology::appendix_a()
-    }
 
     /// Bind fresh event handlers onto the builder's topology.  A
     /// scenario/topology mismatch (missing node, too few hosts) comes back
@@ -139,9 +155,9 @@ impl ScenarioRun {
     }
 }
 
-/// Run a scenario on its preferred topology.
+/// Run a scenario on the Appendix-A topology.
 pub fn run_scenario(scenario: &dyn Scenario) -> Result<ScenarioRun, TopologyError> {
-    run_scenario_on(scenario, scenario.topology())
+    run_scenario_on(scenario, Topology::appendix_a())
 }
 
 /// Run a scenario on an explicit topology.  A misconfigured pairing fails
@@ -201,7 +217,7 @@ impl ScenarioRegistry {
         self.scenarios.iter().find(|s| s.name() == name)
     }
 
-    /// Run every scenario on its preferred topology.
+    /// Run every scenario on the Appendix-A topology.
     pub fn run_all(&self) -> Result<Vec<ScenarioRun>, TopologyError> {
         self.scenarios
             .iter()
@@ -210,19 +226,40 @@ impl ScenarioRegistry {
     }
 }
 
-/// The four protocol scenarios wired to the hand-written references.
+/// The four one-shot protocol scenarios wired to the hand-written
+/// references.
 pub fn reference_scenarios() -> ScenarioRegistry {
+    reference_registry(Drive::Once)
+}
+
+/// The four protocol scenarios wired to the hand-written references under
+/// `drive`.
+pub(crate) fn reference_registry(drive: Drive) -> ScenarioRegistry {
     let mut reg = ScenarioRegistry::new();
-    reg.register(Arc::new(PingScenario::reference()));
-    reg.register(Arc::new(IgmpScenario::reference()));
-    reg.register(Arc::new(NtpScenario::reference()));
-    reg.register(Arc::new(BfdScenario::reference()));
+    reg.register(Arc::new(PingScenario::reference(drive)));
+    reg.register(Arc::new(IgmpScenario::reference(drive)));
+    reg.register(Arc::new(NtpScenario::reference(drive)));
+    reg.register(Arc::new(BfdScenario::reference(drive)));
     reg
+}
+
+/// A reference scenario's name: `<protocol>/reference` for one exchange,
+/// `<protocol>/chaos` under recovery.
+fn reference_name(protocol: &str, drive: Drive) -> String {
+    match drive {
+        Drive::Once => format!("{protocol}/reference"),
+        Drive::Recover => format!("{protocol}/chaos"),
+    }
+}
+
+/// True if some node noted exactly `text`.
+fn noted(trace: &EventTrace, text: &str) -> bool {
+    trace.notes().iter().any(|(_, t)| *t == text)
 }
 
 /// Bind reference [`RouterNode`]s on every router except `skip` — the
 /// forwarding fabric every scenario shares.
-pub(crate) fn bind_infrastructure_routers(sim: &mut SimBuilder, skip: Option<NodeId>) {
+fn bind_infrastructure_routers(sim: &mut SimBuilder, skip: Option<NodeId>) {
     for r in sim.topology().routers() {
         if Some(r) == skip {
             continue;
@@ -240,31 +277,35 @@ pub(crate) fn bind_infrastructure_routers(sim: &mut SimBuilder, skip: Option<Nod
 // ---------------------------------------------------------------------------
 
 /// The ping exercise: the first host echoes against the first router, whose
-/// ICMP behaviour comes from the scenario's responder factory.
+/// ICMP behaviour comes from the scenario's responder factory — once, or
+/// periodically under [`Drive::Recover`].
 pub struct PingScenario {
     name: String,
+    drive: Drive,
     responder: IcmpFactory,
 }
 
-/// The echo identifier every ping scenario uses.
-const PING_IDENT: u16 = 0x77;
-/// The echo sequence number every ping scenario uses.
+/// The echo sequence number of the one-shot ping.
 const PING_SEQ: u16 = 1;
-/// The echo payload every ping scenario uses (the classic 16-byte pattern).
-const PING_PAYLOAD: &[u8] = b"0123456789abcdef";
 
 impl PingScenario {
-    /// A ping scenario with a custom name and router responder.
-    pub fn new(name: &str, responder: IcmpFactory) -> PingScenario {
+    /// A ping scenario with a custom name, drive and router responder.
+    pub fn new(name: &str, drive: Drive, responder: IcmpFactory) -> PingScenario {
         PingScenario {
             name: name.to_string(),
+            drive,
             responder,
         }
     }
 
-    /// The reference-responder ping scenario.
-    pub fn reference() -> PingScenario {
-        PingScenario::new("ping/reference", Arc::new(|| Box::new(ReferenceResponder)))
+    /// The reference-responder ping scenario (`ping/reference`, or
+    /// `ping/chaos` under [`Drive::Recover`]).
+    pub fn reference(drive: Drive) -> PingScenario {
+        PingScenario::new(
+            &reference_name("ping", drive),
+            drive,
+            Arc::new(|| Box::new(ReferenceResponder)),
+        )
     }
 }
 
@@ -275,13 +316,8 @@ struct PingClientNode {
 
 impl Node for PingClientNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let echo = icmp::build_echo(false, PING_IDENT, PING_SEQ, PING_PAYLOAD);
-        ctx.send(ipv4::build_packet(
-            self.src,
-            self.dst,
-            ipv4::PROTO_ICMP,
-            64,
-            echo.as_bytes(),
+        ctx.send(framing::echo_request(
+            self.src, self.dst, PING_IDENT, PING_SEQ,
         ));
     }
 
@@ -312,21 +348,23 @@ impl Scenario for PingScenario {
         let dst = sim.topology().addr_of(router);
         sim.bind(router, Box::new(RouterNode::new(cfg, (self.responder)())));
         bind_infrastructure_routers(sim, Some(router));
-        sim.bind(client, Box::new(PingClientNode { src, dst }));
+        let handler: Box<dyn Node> = match self.drive {
+            Drive::Once => Box::new(PingClientNode { src, dst }),
+            Drive::Recover => Box::new(ChaosPingClient::new(src, dst)),
+        };
+        sim.bind(client, handler);
         Ok(())
     }
 
     fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
-        let notes = trace.notes();
-        ScenarioOutcome {
-            checks: vec![
+        let checks = match self.drive {
+            Drive::Once => vec![
                 ("request_sent", !trace.originated_packets().is_empty()),
-                (
-                    "reply_valid",
-                    notes.iter().any(|(_, text)| *text == "ping=ok"),
-                ),
+                ("reply_valid", noted(trace, "ping=ok")),
             ],
-        }
+            Drive::Recover => vec![("ping_recovers", noted(trace, "ping=ok"))],
+        };
+        ScenarioOutcome { checks }
     }
 }
 
@@ -334,29 +372,34 @@ impl Scenario for PingScenario {
 // IGMP membership
 // ---------------------------------------------------------------------------
 
-/// The IGMP exercise: the first router queries the all-hosts group, the
-/// first host reports membership through the scenario's responder factory.
+/// The IGMP exercise: the first router queries the all-hosts group — once,
+/// or every round under [`Drive::Recover`] — and the first host reports
+/// membership through the scenario's responder factory.
 pub struct IgmpScenario {
     name: String,
+    drive: Drive,
     group: u32,
     responder: IgmpFactory,
 }
 
 impl IgmpScenario {
-    /// An IGMP scenario for `group` with a custom host responder.
-    pub fn new(name: &str, group: u32, responder: IgmpFactory) -> IgmpScenario {
+    /// An IGMP scenario for `group` with a custom drive and host responder.
+    pub fn new(name: &str, drive: Drive, group: u32, responder: IgmpFactory) -> IgmpScenario {
         IgmpScenario {
             name: name.to_string(),
+            drive,
             group,
             responder,
         }
     }
 
-    /// The reference-responder IGMP scenario (group 224.0.0.251).
-    pub fn reference() -> IgmpScenario {
+    /// The reference-responder IGMP scenario for group 224.0.0.251
+    /// (`igmp/reference`, or `igmp/chaos` under [`Drive::Recover`]).
+    pub fn reference(drive: Drive) -> IgmpScenario {
         let group = ipv4::addr(224, 0, 0, 251);
         IgmpScenario::new(
-            "igmp/reference",
+            &reference_name("igmp", drive),
+            drive,
             group,
             Arc::new(move || Box::new(ReferenceIgmpResponder { group })),
         )
@@ -371,15 +414,7 @@ struct IgmpQuerierNode {
 
 impl Node for IgmpQuerierNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
-        let all_hosts = ipv4::addr(224, 0, 0, 1);
-        ctx.send(ipv4::build_packet(
-            self.router_addr,
-            all_hosts,
-            ipv4::PROTO_IGMP,
-            1,
-            query.as_bytes(),
-        ));
+        ctx.send(framing::igmp_general_query(self.router_addr));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _packet: &PacketBuf) {
@@ -388,12 +423,11 @@ impl Node for IgmpQuerierNode {
 }
 
 /// The host side: answers membership queries through the pluggable
-/// responder.  Shared with the chaos scenarios, which pair it with a
-/// re-querying querier instead of the one-shot one.
-pub(crate) struct IgmpHostNode {
-    pub(crate) host_addr: u32,
-    pub(crate) group: u32,
-    pub(crate) responder: Box<dyn IgmpResponder>,
+/// responder.
+struct IgmpHostNode {
+    host_addr: u32,
+    group: u32,
+    responder: Box<dyn IgmpResponder>,
 }
 
 impl Node for IgmpHostNode {
@@ -405,13 +439,7 @@ impl Node for IgmpHostNode {
         }
         let delivered = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
         match self.responder.respond(&delivered) {
-            Some(msg) => ctx.send(ipv4::build_packet(
-                self.host_addr,
-                self.group,
-                ipv4::PROTO_IGMP,
-                1,
-                msg.as_bytes(),
-            )),
+            Some(msg) => ctx.send(framing::igmp_report(self.host_addr, self.group, &msg)),
             None => ctx.note("igmp=silent"),
         }
     }
@@ -431,7 +459,11 @@ impl Scenario for IgmpScenario {
         let host = sim.topology().host_at(0)?;
         let router_addr = sim.topology().addr_of(querier);
         let host_addr = sim.topology().addr_of(host);
-        sim.bind(querier, Box::new(IgmpQuerierNode { router_addr }));
+        let handler: Box<dyn Node> = match self.drive {
+            Drive::Once => Box::new(IgmpQuerierNode { router_addr }),
+            Drive::Recover => Box::new(ChaosIgmpQuerier::new(router_addr)),
+        };
+        sim.bind(querier, handler);
         bind_infrastructure_routers(sim, Some(querier));
         sim.bind(
             host,
@@ -445,6 +477,11 @@ impl Scenario for IgmpScenario {
     }
 
     fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
+        if self.drive == Drive::Recover {
+            return ScenarioOutcome {
+                checks: vec![("report_received", noted(trace, "igmp=report-received"))],
+            };
+        }
         let packets = trace.originated_packets();
         let query_clean = packets
             .first()
@@ -483,9 +520,11 @@ impl Scenario for IgmpScenario {
 // ---------------------------------------------------------------------------
 
 /// The NTP exercise: the first host's timeout policy decides whether to poll
-/// the second host's server over UDP port 123.
+/// the second host's server over UDP port 123 — once, or on a fixed cadence
+/// with backoff under [`Drive::Recover`].
 pub struct NtpScenario {
     name: String,
+    drive: Drive,
     policy: NtpPolicyFactory,
     server: NtpServerFactory,
     peer: ntp::PeerVariables,
@@ -493,13 +532,13 @@ pub struct NtpScenario {
     expect_exchange: bool,
 }
 
-/// The ephemeral client port every NTP scenario uses.
-const NTP_CLIENT_PORT: u16 = 45123;
-
 impl NtpScenario {
-    /// An NTP scenario expecting a full request/reply exchange.
+    /// An NTP scenario expecting a full request/reply exchange.  The
+    /// one-shot request carries `transmit_timestamp`; a recovering client
+    /// stamps each poll with its round number instead.
     pub fn new(
         name: &str,
+        drive: Drive,
         policy: NtpPolicyFactory,
         server: NtpServerFactory,
         peer: ntp::PeerVariables,
@@ -507,6 +546,7 @@ impl NtpScenario {
     ) -> NtpScenario {
         NtpScenario {
             name: name.to_string(),
+            drive,
             policy,
             server,
             peer,
@@ -515,8 +555,8 @@ impl NtpScenario {
         }
     }
 
-    /// An NTP scenario expecting the client to stay quiet (the timeout
-    /// procedure must not fire for `peer`).
+    /// A one-shot NTP scenario expecting the client to stay quiet (the
+    /// timeout procedure must not fire for `peer`).
     pub fn quiet(
         name: &str,
         policy: NtpPolicyFactory,
@@ -524,19 +564,17 @@ impl NtpScenario {
         peer: ntp::PeerVariables,
     ) -> NtpScenario {
         NtpScenario {
-            name: name.to_string(),
-            policy,
-            server,
-            peer,
-            transmit_timestamp: 0,
             expect_exchange: false,
+            ..NtpScenario::new(name, Drive::Once, policy, server, peer, 0)
         }
     }
 
-    /// The reference policy/server scenario (due peer, stratum-2 server).
-    pub fn reference() -> NtpScenario {
+    /// The reference policy/server scenario: due peer, stratum-2 server
+    /// (`ntp/reference`, or `ntp/chaos` under [`Drive::Recover`]).
+    pub fn reference(drive: Drive) -> NtpScenario {
         NtpScenario::new(
-            "ntp/reference",
+            &reference_name("ntp", drive),
+            drive,
             Arc::new(|| Box::new(ReferenceTimeoutPolicy)),
             Arc::new(|| {
                 Box::new(ReferenceNtpServer {
@@ -569,19 +607,10 @@ impl Node for NtpClientNode {
             return;
         }
         ctx.note("ntp=timeout-fired");
-        let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, self.transmit_timestamp);
-        let datagram = ntp::encapsulate_in_udp(
+        ctx.send(framing::ntp_request(
             self.client_addr,
             self.server_addr,
-            NTP_CLIENT_PORT,
-            &request,
-        );
-        ctx.send(ipv4::build_packet(
-            self.client_addr,
-            self.server_addr,
-            ipv4::PROTO_UDP,
-            64,
-            datagram.as_bytes(),
+            self.transmit_timestamp,
         ));
     }
 
@@ -590,52 +619,28 @@ impl Node for NtpClientNode {
     }
 }
 
-/// The NTP server side, shared with the chaos scenarios (the server is
-/// stateless, so crash/restart needs no extra handling).
-pub(crate) struct NtpServerNode {
-    pub(crate) server_addr: u32,
-    pub(crate) server: Box<dyn NtpServer>,
+/// The NTP server side under both drives (the server is stateless, so
+/// crash/restart needs no extra handling).
+struct NtpServerNode {
+    server_addr: u32,
+    server: Box<dyn NtpServer>,
 }
 
 impl Node for NtpServerNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(request) = framing::udp_request(packet, udp::NTP_PORT) else {
             ctx.deliver_local();
             return;
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != udp::NTP_PORT {
-            ctx.deliver_local();
-            return;
-        }
-        let src_addr = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let src_port = datagram.get_field(udp::FIELDS, "source_port").unwrap_or(0) as u16;
-        let request = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
-        let Some(reply) = self.server.respond(&request) else {
+        };
+        let Some(reply) = self.server.respond(&request.payload) else {
             ctx.note("ntp=server-silent");
             return;
         };
-        // Appendix A: the reply's destination port is copied from the
-        // request's source port.
-        let reply_udp = udp::build_datagram(
+        ctx.send(framing::ntp_reply(
             self.server_addr,
-            src_addr,
-            udp::NTP_PORT,
-            src_port,
-            reply.as_bytes(),
-        );
-        ctx.send(ipv4::build_packet(
-            self.server_addr,
-            src_addr,
-            ipv4::PROTO_UDP,
-            64,
-            reply_udp.as_bytes(),
+            request.src_addr,
+            request.src_port,
+            &reply,
         ));
     }
 }
@@ -655,16 +660,23 @@ impl Scenario for NtpScenario {
         let client_addr = sim.topology().addr_of(client);
         let server_addr = sim.topology().addr_of(server);
         bind_infrastructure_routers(sim, None);
-        sim.bind(
-            client,
-            Box::new(NtpClientNode {
+        let policy = (self.policy)();
+        let handler: Box<dyn Node> = match self.drive {
+            Drive::Once => Box::new(NtpClientNode {
                 client_addr,
                 server_addr,
-                policy: (self.policy)(),
+                policy,
                 peer: self.peer,
                 transmit_timestamp: self.transmit_timestamp,
             }),
-        );
+            Drive::Recover => Box::new(ChaosNtpClient::new(
+                client_addr,
+                server_addr,
+                policy,
+                self.peer,
+            )),
+        };
+        sim.bind(client, handler);
         sim.bind(
             server,
             Box::new(NtpServerNode {
@@ -676,8 +688,12 @@ impl Scenario for NtpScenario {
     }
 
     fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
-        let notes = trace.notes();
-        let fired = notes.iter().any(|(_, t)| *t == "ntp=timeout-fired");
+        if self.drive == Drive::Recover {
+            return ScenarioOutcome {
+                checks: vec![("resynchronizes", noted(trace, "ntp=synchronized"))],
+            };
+        }
+        let fired = noted(trace, "ntp=timeout-fired");
         let packets = trace.originated_packets();
         if !self.expect_exchange {
             return ScenarioOutcome {
@@ -718,7 +734,7 @@ impl Scenario for NtpScenario {
             };
             check(&packets[0]) && check(&packets[1])
         };
-        let decoded_clean = notes.iter().any(|(_, t)| *t == "ntp=reply-received")
+        let decoded_clean = noted(trace, "ntp=reply-received")
             && !packets.is_empty()
             && packets.iter().all(|bytes| decode_packet(bytes).clean());
         ScenarioOutcome {
@@ -741,9 +757,11 @@ impl Scenario for NtpScenario {
 
 /// The BFD exercise: the first and last host run pluggable endpoints and
 /// exchange control packets until both report Up (or the transmission
-/// budget runs out).
+/// budget runs out); under [`Drive::Recover`] they transmit periodically
+/// with a detection timeout instead.
 pub struct BfdScenario {
     name: String,
+    drive: Drive,
     endpoint_a: BfdFactory,
     endpoint_b: BfdFactory,
     discr_a: (u32, u32),
@@ -753,9 +771,11 @@ pub struct BfdScenario {
 }
 
 impl BfdScenario {
-    /// A BFD scenario with custom endpoint factories and discriminators.
+    /// A BFD scenario with custom drive, endpoint factories and
+    /// discriminators.
     pub fn new(
         name: &str,
+        drive: Drive,
         endpoint_a: BfdFactory,
         endpoint_b: BfdFactory,
         discr_a: (u32, u32),
@@ -763,6 +783,7 @@ impl BfdScenario {
     ) -> BfdScenario {
         BfdScenario {
             name: name.to_string(),
+            drive,
             endpoint_a,
             endpoint_b,
             discr_a,
@@ -776,18 +797,26 @@ impl BfdScenario {
         }
     }
 
-    /// Override the expected state path of endpoint b (the classic
-    /// handshake is Down → Init → Up).
+    /// Override the expected state path of endpoint b in the one-shot
+    /// bring-up (the classic handshake is Down → Init → Up).
     pub fn with_expected_path(mut self, path: Vec<bfd::SessionState>) -> BfdScenario {
         self.expect_path = path;
         self
     }
 
-    /// The reference-endpoint scenario with discriminators 7/9.
-    pub fn reference() -> BfdScenario {
+    /// The reference-endpoint scenario with discriminators 7/9
+    /// (`bfd/reference`, or `bfd/chaos` under [`Drive::Recover`]).
+    pub fn reference(drive: Drive) -> BfdScenario {
         let factory: BfdFactory =
             Arc::new(|local, remote| Box::new(ReferenceBfdEndpoint::new(local, remote)));
-        BfdScenario::new("bfd/reference", factory.clone(), factory, (7, 9), (9, 7))
+        BfdScenario::new(
+            &reference_name("bfd", drive),
+            drive,
+            factory.clone(),
+            factory,
+            (7, 9),
+            (9, 7),
+        )
     }
 }
 
@@ -812,19 +841,10 @@ impl BfdEndpointNode {
         }
         self.budget -= 1;
         let control = self.endpoint.control_packet();
-        let datagram = udp::build_datagram(
+        ctx.send(framing::bfd_datagram(
             self.local_addr,
             self.peer_addr,
-            49152,
-            BFD_CONTROL_PORT,
-            control.as_bytes(),
-        );
-        ctx.send(ipv4::build_packet(
-            self.local_addr,
-            self.peer_addr,
-            ipv4::PROTO_UDP,
-            255,
-            datagram.as_bytes(),
+            &control,
         ));
     }
 }
@@ -837,20 +857,11 @@ impl Node for BfdEndpointNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(request) = framing::udp_request(packet, BFD_CONTROL_PORT) else {
             ctx.deliver_local();
             return;
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != BFD_CONTROL_PORT {
-            ctx.deliver_local();
-            return;
-        }
-        let control = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
+        };
+        let control = request.payload;
         self.endpoint.receive(&control);
         ctx.note(format!("bfd_state={:?}", self.endpoint.state()));
         let received_up = control.get_field(bfd::FIELDS, "state").unwrap_or(0)
@@ -876,30 +887,47 @@ impl Scenario for BfdScenario {
         let addr_a = sim.topology().addr_of(a);
         let addr_b = sim.topology().addr_of(b);
         bind_infrastructure_routers(sim, None);
-        sim.bind(
-            a,
-            Box::new(BfdEndpointNode {
-                endpoint: (self.endpoint_a)(self.discr_a.0, self.discr_a.1),
-                local_addr: addr_a,
-                peer_addr: addr_b,
-                initiator: true,
-                budget: self.max_rounds,
-            }),
-        );
-        sim.bind(
-            b,
-            Box::new(BfdEndpointNode {
-                endpoint: (self.endpoint_b)(self.discr_b.0, self.discr_b.1),
-                local_addr: addr_b,
-                peer_addr: addr_a,
-                initiator: false,
-                budget: self.max_rounds,
-            }),
-        );
+        // Endpoint a initiates (is the active system), b answers.
+        let sides = [
+            (a, &self.endpoint_a, self.discr_a, addr_a, addr_b, true),
+            (b, &self.endpoint_b, self.discr_b, addr_b, addr_a, false),
+        ];
+        for (node, factory, discr, local_addr, peer_addr, initiator) in sides {
+            let handler: Box<dyn Node> = match self.drive {
+                Drive::Once => Box::new(BfdEndpointNode {
+                    endpoint: factory(discr.0, discr.1),
+                    local_addr,
+                    peer_addr,
+                    initiator,
+                    budget: self.max_rounds,
+                }),
+                Drive::Recover => Box::new(ChaosBfdEndpoint::new(
+                    factory.clone(),
+                    discr,
+                    local_addr,
+                    peer_addr,
+                    initiator,
+                )),
+            };
+            sim.bind(node, handler);
+        }
         Ok(())
     }
 
     fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
+        if self.drive == Drive::Recover {
+            // Both endpoints must end the run in Up.
+            let mut last = std::collections::BTreeMap::new();
+            for (node, text) in trace.notes() {
+                if text.starts_with("bfd_state=") {
+                    last.insert(node, text);
+                }
+            }
+            let both_up = last.len() == 2 && last.values().all(|t| *t == "bfd_state=Up");
+            return ScenarioOutcome {
+                checks: vec![("both_up", both_up)],
+            };
+        }
         // Endpoint a is the node that originated the first packet; its
         // per-receive state notes and the peer's judge the handshake.
         let a_name = trace
@@ -995,7 +1023,7 @@ mod tests {
         // One host, no routers: NTP needs two hosts, ping needs a router.
         let mut topo = Topology::named("tiny");
         topo.host("only", ipv4::addr(10, 0, 1, 1), 24);
-        let err = run_scenario_on(&NtpScenario::reference(), topo.clone()).unwrap_err();
+        let err = run_scenario_on(&NtpScenario::reference(Drive::Once), topo.clone()).unwrap_err();
         assert_eq!(
             err,
             TopologyError::NotEnoughHosts {
@@ -1003,7 +1031,7 @@ mod tests {
                 available: 1
             }
         );
-        let err = run_scenario_on(&PingScenario::reference(), topo).unwrap_err();
+        let err = run_scenario_on(&PingScenario::reference(Drive::Once), topo).unwrap_err();
         assert!(
             matches!(err, TopologyError::NotEnoughRouters { .. }),
             "{err}"
@@ -1038,6 +1066,7 @@ mod tests {
             Arc::new(|local, remote| Box::new(ReferenceBfdEndpoint::new(local, remote)));
         let scenario = BfdScenario::new(
             "bfd/misconfigured",
+            Drive::Once,
             factory.clone(),
             factory,
             (7, 999),

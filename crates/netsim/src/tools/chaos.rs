@@ -1,10 +1,11 @@
-//! Chaos-recovery scenarios: long-running drivers that keep each protocol
-//! exchange alive past crashes, restarts and link flaps.
+//! Chaos-recovery state machines: the long-running event handlers that
+//! keep each protocol exchange alive past crashes, restarts and link flaps.
 //!
-//! The plain [`crate::scenario`] exercises are one-shot — a single ping, a
-//! single query/report, one poll, one bring-up — so a fault that eats the
-//! exchange leaves nothing to recover.  The chaos variants replace them
-//! with *recovery state machines*:
+//! A [`crate::scenario`] exercise under [`Drive::Once`] is one-shot — a
+//! single ping, a single query/report, one poll, one bring-up — so a fault
+//! that eats the exchange leaves nothing to recover.  Under
+//! [`Drive::Recover`] the same scenario binds these *recovery state
+//! machines* instead:
 //!
 //! * **ICMP** — the client pings periodically until the horizon, so a lost
 //!   request or a crashed router is retried on the next round.
@@ -28,16 +29,13 @@
 //! [`crate::fuzz::recovery_time_ns`] consume.
 
 use crate::buffer::PacketBuf;
-use crate::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
-use crate::scenario::{
-    bind_infrastructure_routers, BfdFactory, IcmpFactory, IgmpFactory, IgmpHostNode,
-    NtpPolicyFactory, NtpServerFactory, NtpServerNode, Scenario, ScenarioOutcome,
-};
-use crate::sim::{Ctx, EventTrace, Node, RouterNode, SimBuilder, TopologyError};
-use crate::tools::bfd_session::{BfdEndpoint, ReferenceBfdEndpoint, BFD_CONTROL_PORT};
-use crate::tools::ntp_exchange::{ReferenceNtpServer, ReferenceTimeoutPolicy};
+use crate::framing::{self, PING_IDENT, PING_PAYLOAD};
+use crate::headers::{bfd, ipv4, ntp};
+use crate::scenario::{reference_registry, BfdFactory, Drive, Scenario};
+use crate::sim::{Ctx, Node};
+use crate::tools::bfd_session::{BfdEndpoint, BFD_CONTROL_PORT};
+use crate::tools::ntp_exchange::NtpTimeoutPolicy;
 use crate::tools::ping::{validate_reply, PingOutcome};
-use crate::tools::ReferenceIgmpResponder;
 use std::sync::Arc;
 
 /// The virtual time chaos drivers stop arming timers at.  Fault schedules
@@ -53,6 +51,26 @@ pub const CHAOS_HORIZON_NS: u64 = 6_000_000_000;
 /// staying inside the horizon tail.
 pub const CHAOS_RECOVERY_BOUND_NS: u64 = 3_000_000_000;
 
+/// The ping cadence.
+const PING_INTERVAL_NS: u64 = 500_000_000;
+/// The IGMP general-query cadence.
+const IGMP_QUERY_INTERVAL_NS: u64 = 500_000_000;
+/// The retransmission spacing within an unanswered IGMP round.
+const IGMP_RETRY_INTERVAL_NS: u64 = 150_000_000;
+/// RFC 1112 robustness variable: extra query transmissions per round.
+const IGMP_ROBUSTNESS: u32 = 2;
+/// The NTP poll cadence.
+const NTP_POLL_INTERVAL_NS: u64 = 1_000_000_000;
+/// The initial NTP retransmission backoff.
+const NTP_BACKOFF_BASE_NS: u64 = 250_000_000;
+/// The NTP backoff cap.
+const NTP_BACKOFF_CAP_NS: u64 = 1_000_000_000;
+/// The BFD control-packet transmit interval.
+const BFD_TX_INTERVAL_NS: u64 = 200_000_000;
+/// RFC 5880 §6.8.4 detection time: three transmit intervals without a
+/// received packet declares the session down.
+const BFD_DETECT_NS: u64 = 3 * BFD_TX_INTERVAL_NS;
+
 /// Arm `token` after `delay_ns` unless that would land past the horizon.
 fn arm(ctx: &mut Ctx<'_>, delay_ns: u64, token: u64) {
     if ctx.now().0.saturating_add(delay_ns) < CHAOS_HORIZON_NS {
@@ -64,60 +82,29 @@ fn arm(ctx: &mut Ctx<'_>, delay_ns: u64, token: u64) {
 // ICMP: periodic ping
 // ---------------------------------------------------------------------------
 
-/// The chaos ping exercise: the first host pings the first router every
-/// [`ChaosPingScenario::INTERVAL_NS`] until the horizon.
-pub struct ChaosPingScenario {
-    name: String,
-    responder: IcmpFactory,
-}
-
-impl ChaosPingScenario {
-    /// The ping cadence.
-    pub const INTERVAL_NS: u64 = 500_000_000;
-
-    /// A chaos ping scenario with a custom router responder.
-    pub fn new(name: &str, responder: IcmpFactory) -> ChaosPingScenario {
-        ChaosPingScenario {
-            name: name.to_string(),
-            responder,
-        }
-    }
-
-    /// The reference-responder chaos ping scenario.
-    pub fn reference() -> ChaosPingScenario {
-        ChaosPingScenario::new(
-            "ping/chaos",
-            Arc::new(|| Box::new(crate::net::ReferenceResponder)),
-        )
-    }
-}
-
-const CHAOS_PING_IDENT: u16 = 0x77;
-const CHAOS_PING_PAYLOAD: &[u8] = b"0123456789abcdef";
-
-struct ChaosPingClient {
+/// The recovering ping client: pings every [`PING_INTERVAL_NS`] until the
+/// horizon.
+pub(crate) struct ChaosPingClient {
     src: u32,
     dst: u32,
     round: u64,
 }
 
 impl ChaosPingClient {
+    /// A client pinging `dst` from `src`.
+    pub(crate) fn new(src: u32, dst: u32) -> ChaosPingClient {
+        ChaosPingClient { src, dst, round: 0 }
+    }
+
     fn ping(&mut self, ctx: &mut Ctx<'_>) {
         self.round += 1;
-        let echo = icmp::build_echo(
-            false,
-            CHAOS_PING_IDENT,
-            self.round as u16,
-            CHAOS_PING_PAYLOAD,
-        );
-        ctx.send(ipv4::build_packet(
+        ctx.send(framing::echo_request(
             self.src,
             self.dst,
-            ipv4::PROTO_ICMP,
-            64,
-            echo.as_bytes(),
+            PING_IDENT,
+            self.round as u16,
         ));
-        arm(ctx, ChaosPingScenario::INTERVAL_NS, self.round);
+        arm(ctx, PING_INTERVAL_NS, self.round);
     }
 }
 
@@ -140,41 +127,12 @@ impl Node for ChaosPingClient {
         match validate_reply(
             packet,
             self.src,
-            CHAOS_PING_IDENT,
+            PING_IDENT,
             self.round as u16,
-            CHAOS_PING_PAYLOAD,
+            PING_PAYLOAD,
         ) {
             PingOutcome::Reply { .. } => ctx.note("ping=ok"),
             _ => ctx.note("ping=stale"),
-        }
-    }
-}
-
-impl Scenario for ChaosPingScenario {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn protocol(&self) -> &'static str {
-        "icmp"
-    }
-
-    fn bind(&self, sim: &mut SimBuilder) -> Result<(), TopologyError> {
-        let router = sim.topology().router_at(0)?;
-        let cfg = sim.topology().router_config(router);
-        let client = sim.topology().host_at(0)?;
-        let src = sim.topology().addr_of(client);
-        let dst = sim.topology().addr_of(router);
-        sim.bind(router, Box::new(RouterNode::new(cfg, (self.responder)())));
-        bind_infrastructure_routers(sim, Some(router));
-        sim.bind(client, Box::new(ChaosPingClient { src, dst, round: 0 }));
-        Ok(())
-    }
-
-    fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
-        let ok = trace.notes().iter().any(|(_, t)| *t == "ping=ok");
-        ScenarioOutcome {
-            checks: vec![("ping_recovers", ok)],
         }
     }
 }
@@ -183,43 +141,9 @@ impl Scenario for ChaosPingScenario {
 // IGMP: re-query with robustness retransmission
 // ---------------------------------------------------------------------------
 
-/// The chaos IGMP exercise: the querier re-queries every interval and
-/// retransmits unanswered rounds up to the robustness variable.
-pub struct ChaosIgmpScenario {
-    name: String,
-    group: u32,
-    responder: IgmpFactory,
-}
-
-impl ChaosIgmpScenario {
-    /// The general-query cadence.
-    pub const QUERY_INTERVAL_NS: u64 = 500_000_000;
-    /// The retransmission spacing within an unanswered round.
-    pub const RETRY_INTERVAL_NS: u64 = 150_000_000;
-    /// RFC 1112 robustness variable: extra query transmissions per round.
-    pub const ROBUSTNESS: u32 = 2;
-
-    /// A chaos IGMP scenario for `group` with a custom host responder.
-    pub fn new(name: &str, group: u32, responder: IgmpFactory) -> ChaosIgmpScenario {
-        ChaosIgmpScenario {
-            name: name.to_string(),
-            group,
-            responder,
-        }
-    }
-
-    /// The reference-responder chaos IGMP scenario (group 224.0.0.251).
-    pub fn reference() -> ChaosIgmpScenario {
-        let group = ipv4::addr(224, 0, 0, 251);
-        ChaosIgmpScenario::new(
-            "igmp/chaos",
-            group,
-            Arc::new(move || Box::new(ReferenceIgmpResponder { group })),
-        )
-    }
-}
-
-struct ChaosIgmpQuerier {
+/// The recovering IGMP querier: re-queries every interval and retransmits
+/// unanswered rounds up to the robustness variable.
+pub(crate) struct ChaosIgmpQuerier {
     router_addr: u32,
     round: u64,
     retries: u32,
@@ -229,16 +153,15 @@ struct ChaosIgmpQuerier {
 }
 
 impl ChaosIgmpQuerier {
-    fn query(&mut self, ctx: &mut Ctx<'_>) {
-        let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
-        let all_hosts = ipv4::addr(224, 0, 0, 1);
-        ctx.send(ipv4::build_packet(
-            self.router_addr,
-            all_hosts,
-            ipv4::PROTO_IGMP,
-            1,
-            query.as_bytes(),
-        ));
+    /// A querier sending from `router_addr`.
+    pub(crate) fn new(router_addr: u32) -> ChaosIgmpQuerier {
+        ChaosIgmpQuerier {
+            router_addr,
+            round: 0,
+            retries: 0,
+            answered: false,
+            gap: false,
+        }
     }
 
     fn new_round(&mut self, ctx: &mut Ctx<'_>) {
@@ -246,8 +169,8 @@ impl ChaosIgmpQuerier {
         self.retries = 0;
         self.answered = false;
         self.gap = false;
-        self.query(ctx);
-        arm(ctx, ChaosIgmpScenario::RETRY_INTERVAL_NS, self.round);
+        ctx.send(framing::igmp_general_query(self.router_addr));
+        arm(ctx, IGMP_RETRY_INTERVAL_NS, self.round);
     }
 }
 
@@ -267,13 +190,13 @@ impl Node for ChaosIgmpQuerier {
         if self.gap {
             // The inter-round rest ended: open the round with its query.
             self.gap = false;
-            self.query(ctx);
-            arm(ctx, ChaosIgmpScenario::RETRY_INTERVAL_NS, self.round);
-        } else if !self.answered && self.retries < ChaosIgmpScenario::ROBUSTNESS {
+            ctx.send(framing::igmp_general_query(self.router_addr));
+            arm(ctx, IGMP_RETRY_INTERVAL_NS, self.round);
+        } else if !self.answered && self.retries < IGMP_ROBUSTNESS {
             // The round's report is missing: retransmit the query.
             self.retries += 1;
-            self.query(ctx);
-            arm(ctx, ChaosIgmpScenario::RETRY_INTERVAL_NS, self.round);
+            ctx.send(framing::igmp_general_query(self.router_addr));
+            arm(ctx, IGMP_RETRY_INTERVAL_NS, self.round);
         } else {
             // Round over (answered, or robustness exhausted): rest until
             // the next general query.
@@ -281,7 +204,7 @@ impl Node for ChaosIgmpQuerier {
             self.retries = 0;
             self.answered = false;
             self.gap = true;
-            arm(ctx, ChaosIgmpScenario::QUERY_INTERVAL_NS, self.round);
+            arm(ctx, IGMP_QUERY_INTERVAL_NS, self.round);
         }
     }
 
@@ -295,117 +218,16 @@ impl Node for ChaosIgmpQuerier {
     }
 }
 
-impl Scenario for ChaosIgmpScenario {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn protocol(&self) -> &'static str {
-        "igmp"
-    }
-
-    fn bind(&self, sim: &mut SimBuilder) -> Result<(), TopologyError> {
-        let querier = sim.topology().router_at(0)?;
-        let host = sim.topology().host_at(0)?;
-        let router_addr = sim.topology().addr_of(querier);
-        let host_addr = sim.topology().addr_of(host);
-        sim.bind(
-            querier,
-            Box::new(ChaosIgmpQuerier {
-                router_addr,
-                round: 0,
-                retries: 0,
-                answered: false,
-                gap: false,
-            }),
-        );
-        bind_infrastructure_routers(sim, Some(querier));
-        sim.bind(
-            host,
-            Box::new(IgmpHostNode {
-                host_addr,
-                group: self.group,
-                responder: (self.responder)(),
-            }),
-        );
-        Ok(())
-    }
-
-    fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
-        let ok = trace
-            .notes()
-            .iter()
-            .any(|(_, t)| *t == "igmp=report-received");
-        ScenarioOutcome {
-            checks: vec![("report_received", ok)],
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // NTP: polling with capped exponential backoff
 // ---------------------------------------------------------------------------
 
-/// The chaos NTP exercise: the client polls every
-/// [`ChaosNtpScenario::POLL_INTERVAL_NS`] and retransmits unanswered
-/// polls with capped exponential backoff.
-pub struct ChaosNtpScenario {
-    name: String,
-    policy: NtpPolicyFactory,
-    server: NtpServerFactory,
-    peer: ntp::PeerVariables,
-}
-
-impl ChaosNtpScenario {
-    /// The poll cadence.
-    pub const POLL_INTERVAL_NS: u64 = 1_000_000_000;
-    /// The initial retransmission backoff.
-    pub const BACKOFF_BASE_NS: u64 = 250_000_000;
-    /// The backoff cap.
-    pub const BACKOFF_CAP_NS: u64 = 1_000_000_000;
-
-    /// A chaos NTP scenario with custom policy/server factories.
-    pub fn new(
-        name: &str,
-        policy: NtpPolicyFactory,
-        server: NtpServerFactory,
-        peer: ntp::PeerVariables,
-    ) -> ChaosNtpScenario {
-        ChaosNtpScenario {
-            name: name.to_string(),
-            policy,
-            server,
-            peer,
-        }
-    }
-
-    /// The reference policy/server chaos scenario (due peer, stratum-2
-    /// server).
-    pub fn reference() -> ChaosNtpScenario {
-        ChaosNtpScenario::new(
-            "ntp/chaos",
-            Arc::new(|| Box::new(ReferenceTimeoutPolicy)),
-            Arc::new(|| {
-                Box::new(ReferenceNtpServer {
-                    stratum: 2,
-                    clock: 0x1000,
-                })
-            }),
-            ntp::PeerVariables {
-                timer: 64,
-                threshold: 64,
-                mode: ntp::mode::CLIENT,
-            },
-        )
-    }
-}
-
-const CHAOS_NTP_CLIENT_PORT: u16 = 45123;
-
-struct ChaosNtpClient {
+/// The recovering NTP client: polls every [`NTP_POLL_INTERVAL_NS`] and
+/// retransmits unanswered polls with capped exponential backoff.
+pub(crate) struct ChaosNtpClient {
     client_addr: u32,
     server_addr: u32,
-    policy: Box<dyn crate::tools::NtpTimeoutPolicy>,
+    policy: Box<dyn NtpTimeoutPolicy>,
     peer: ntp::PeerVariables,
     round: u64,
     backoff_ns: u64,
@@ -413,6 +235,24 @@ struct ChaosNtpClient {
 }
 
 impl ChaosNtpClient {
+    /// A client polling `server_addr` whenever `policy` finds `peer` due.
+    pub(crate) fn new(
+        client_addr: u32,
+        server_addr: u32,
+        policy: Box<dyn NtpTimeoutPolicy>,
+        peer: ntp::PeerVariables,
+    ) -> ChaosNtpClient {
+        ChaosNtpClient {
+            client_addr,
+            server_addr,
+            policy,
+            peer,
+            round: 0,
+            backoff_ns: NTP_BACKOFF_BASE_NS,
+            synchronized: false,
+        }
+    }
+
     /// Send one poll for the current round.  The Table 11 timeout note
     /// precedes *every* transmission in the same handler call, which keeps
     /// the `ntp_no_spurious_retransmit` safety property an invariant of
@@ -423,27 +263,18 @@ impl ChaosNtpClient {
             return;
         }
         ctx.note("ntp=timeout-fired");
-        let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, self.round);
-        let datagram = ntp::encapsulate_in_udp(
+        ctx.send(framing::ntp_request(
             self.client_addr,
             self.server_addr,
-            CHAOS_NTP_CLIENT_PORT,
-            &request,
-        );
-        ctx.send(ipv4::build_packet(
-            self.client_addr,
-            self.server_addr,
-            ipv4::PROTO_UDP,
-            64,
-            datagram.as_bytes(),
+            self.round,
         ));
         arm(ctx, self.backoff_ns, self.round);
-        self.backoff_ns = (self.backoff_ns * 2).min(ChaosNtpScenario::BACKOFF_CAP_NS);
+        self.backoff_ns = (self.backoff_ns * 2).min(NTP_BACKOFF_CAP_NS);
     }
 
     fn new_poll(&mut self, ctx: &mut Ctx<'_>) {
         self.round += 1;
-        self.backoff_ns = ChaosNtpScenario::BACKOFF_BASE_NS;
+        self.backoff_ns = NTP_BACKOFF_BASE_NS;
         self.synchronized = false;
         self.transmit(ctx);
     }
@@ -478,52 +309,7 @@ impl Node for ChaosNtpClient {
             // Bump the round so any pending retransmit timer goes stale,
             // then rest until the next poll.
             self.round += 1;
-            arm(ctx, ChaosNtpScenario::POLL_INTERVAL_NS, self.round);
-        }
-    }
-}
-
-impl Scenario for ChaosNtpScenario {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn protocol(&self) -> &'static str {
-        "ntp"
-    }
-
-    fn bind(&self, sim: &mut SimBuilder) -> Result<(), TopologyError> {
-        let client = sim.topology().host_at(0)?;
-        let server = sim.topology().host_at(1)?;
-        let client_addr = sim.topology().addr_of(client);
-        let server_addr = sim.topology().addr_of(server);
-        bind_infrastructure_routers(sim, None);
-        sim.bind(
-            client,
-            Box::new(ChaosNtpClient {
-                client_addr,
-                server_addr,
-                policy: (self.policy)(),
-                peer: self.peer,
-                round: 0,
-                backoff_ns: ChaosNtpScenario::BACKOFF_BASE_NS,
-                synchronized: false,
-            }),
-        );
-        sim.bind(
-            server,
-            Box::new(NtpServerNode {
-                server_addr,
-                server: (self.server)(),
-            }),
-        );
-        Ok(())
-    }
-
-    fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
-        let ok = trace.notes().iter().any(|(_, t)| *t == "ntp=synchronized");
-        ScenarioOutcome {
-            checks: vec![("resynchronizes", ok)],
+            arm(ctx, NTP_POLL_INTERVAL_NS, self.round);
         }
     }
 }
@@ -532,61 +318,18 @@ impl Scenario for ChaosNtpScenario {
 // BFD: periodic transmission with detection timeout
 // ---------------------------------------------------------------------------
 
-/// The chaos BFD exercise: both endpoints transmit periodically; a
-/// detection timeout drives the session Down and the fresh session
-/// re-runs the bring-up handshake.
-pub struct ChaosBfdScenario {
-    name: String,
-    endpoint_a: BfdFactory,
-    endpoint_b: BfdFactory,
-    discr_a: (u32, u32),
-    discr_b: (u32, u32),
-}
-
-impl ChaosBfdScenario {
-    /// The control-packet transmit interval.
-    pub const TX_INTERVAL_NS: u64 = 200_000_000;
-    /// RFC 5880 §6.8.4 detection time: three transmit intervals without a
-    /// received packet declares the session down.
-    pub const DETECT_NS: u64 = 3 * ChaosBfdScenario::TX_INTERVAL_NS;
-
-    /// A chaos BFD scenario with custom endpoint factories.
-    pub fn new(
-        name: &str,
-        endpoint_a: BfdFactory,
-        endpoint_b: BfdFactory,
-        discr_a: (u32, u32),
-        discr_b: (u32, u32),
-    ) -> ChaosBfdScenario {
-        ChaosBfdScenario {
-            name: name.to_string(),
-            endpoint_a,
-            endpoint_b,
-            discr_a,
-            discr_b,
-        }
-    }
-
-    /// The reference-endpoint chaos scenario with discriminators 7/9.
-    pub fn reference() -> ChaosBfdScenario {
-        let factory: BfdFactory =
-            Arc::new(|local, remote| Box::new(ReferenceBfdEndpoint::new(local, remote)));
-        ChaosBfdScenario::new("bfd/chaos", factory.clone(), factory, (7, 9), (9, 7))
-    }
-}
-
-/// One chaos BFD endpoint in the RFC 5880 active/passive discipline: the
-/// *active* system transmits periodically, the *passive* system only ever
-/// responds to received packets.  The asymmetry matters — the corpus's
-/// transition rules have no Init+Init→Up, so a symmetric simultaneous
-/// bring-up would deadlock both sessions in Init, exactly the race the
-/// RFC's roles exist to prevent.
+/// One recovering BFD endpoint in the RFC 5880 active/passive discipline:
+/// the *active* system transmits periodically, the *passive* system only
+/// ever responds to received packets.  The asymmetry matters — the
+/// corpus's transition rules have no Init+Init→Up, so a symmetric
+/// simultaneous bring-up would deadlock both sessions in Init, exactly the
+/// race the RFC's roles exist to prevent.
 ///
 /// The session object has no reset hook, so detection timeout, a peer's
 /// Down report while Up, and node restart all *replace* it through the
 /// stored factory — a fresh session boots in Down, like a real
 /// implementation tearing down session state.
-struct ChaosBfdEndpoint {
+pub(crate) struct ChaosBfdEndpoint {
     factory: BfdFactory,
     discr: (u32, u32),
     endpoint: Box<dyn BfdEndpoint>,
@@ -598,27 +341,39 @@ struct ChaosBfdEndpoint {
 }
 
 impl ChaosBfdEndpoint {
+    /// An endpoint with `(local, remote)` discriminators `discr`, sessions
+    /// made by `factory`.
+    pub(crate) fn new(
+        factory: BfdFactory,
+        discr: (u32, u32),
+        local_addr: u32,
+        peer_addr: u32,
+        active: bool,
+    ) -> ChaosBfdEndpoint {
+        ChaosBfdEndpoint {
+            endpoint: factory(discr.0, discr.1),
+            factory,
+            discr,
+            local_addr,
+            peer_addr,
+            active,
+            last_rx: 0,
+            ticks: 0,
+        }
+    }
+
     fn transmit(&mut self, ctx: &mut Ctx<'_>) {
         let control = self.endpoint.control_packet();
-        let datagram = udp::build_datagram(
+        ctx.send(framing::bfd_datagram(
             self.local_addr,
             self.peer_addr,
-            49152,
-            BFD_CONTROL_PORT,
-            control.as_bytes(),
-        );
-        ctx.send(ipv4::build_packet(
-            self.local_addr,
-            self.peer_addr,
-            ipv4::PROTO_UDP,
-            255,
-            datagram.as_bytes(),
+            &control,
         ));
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         self.ticks += 1;
-        arm(ctx, ChaosBfdScenario::TX_INTERVAL_NS, self.ticks);
+        arm(ctx, BFD_TX_INTERVAL_NS, self.ticks);
     }
 
     fn boot(&mut self, ctx: &mut Ctx<'_>) {
@@ -650,9 +405,7 @@ impl Node for ChaosBfdEndpoint {
             return;
         }
         let silent_ns = ctx.now().0.saturating_sub(self.last_rx);
-        if silent_ns >= ChaosBfdScenario::DETECT_NS
-            && self.endpoint.state() != bfd::SessionState::Down
-        {
+        if silent_ns >= BFD_DETECT_NS && self.endpoint.state() != bfd::SessionState::Down {
             ctx.note("bfd=detection-timeout");
             self.reset_session(ctx);
         }
@@ -663,20 +416,11 @@ impl Node for ChaosBfdEndpoint {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(request) = framing::udp_request(packet, BFD_CONTROL_PORT) else {
             ctx.deliver_local();
             return;
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != BFD_CONTROL_PORT {
-            ctx.deliver_local();
-            return;
-        }
-        let control = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
+        };
+        let control = request.payload;
         self.endpoint.receive(&control);
         self.last_rx = ctx.now().0;
         let received_down = control.get_field(bfd::FIELDS, "state").unwrap_or(u64::MAX)
@@ -695,73 +439,10 @@ impl Node for ChaosBfdEndpoint {
     }
 }
 
-impl Scenario for ChaosBfdScenario {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn protocol(&self) -> &'static str {
-        "bfd"
-    }
-
-    fn bind(&self, sim: &mut SimBuilder) -> Result<(), TopologyError> {
-        let a = sim.topology().host_at(0)?;
-        let b = sim.topology().last_host()?;
-        let addr_a = sim.topology().addr_of(a);
-        let addr_b = sim.topology().addr_of(b);
-        bind_infrastructure_routers(sim, None);
-        sim.bind(
-            a,
-            Box::new(ChaosBfdEndpoint {
-                factory: self.endpoint_a.clone(),
-                discr: self.discr_a,
-                endpoint: (self.endpoint_a)(self.discr_a.0, self.discr_a.1),
-                local_addr: addr_a,
-                peer_addr: addr_b,
-                active: true,
-                last_rx: 0,
-                ticks: 0,
-            }),
-        );
-        sim.bind(
-            b,
-            Box::new(ChaosBfdEndpoint {
-                factory: self.endpoint_b.clone(),
-                discr: self.discr_b,
-                endpoint: (self.endpoint_b)(self.discr_b.0, self.discr_b.1),
-                local_addr: addr_b,
-                peer_addr: addr_a,
-                active: false,
-                last_rx: 0,
-                ticks: 0,
-            }),
-        );
-        Ok(())
-    }
-
-    fn assert(&self, trace: &EventTrace) -> ScenarioOutcome {
-        // Both endpoints must end the run in Up.
-        let mut last: std::collections::BTreeMap<&str, &str> = std::collections::BTreeMap::new();
-        for (node, text) in trace.notes() {
-            if text.starts_with("bfd_state=") {
-                last.insert(node, text);
-            }
-        }
-        let both_up = last.len() == 2 && last.values().all(|t| *t == "bfd_state=Up");
-        ScenarioOutcome {
-            checks: vec![("both_up", both_up)],
-        }
-    }
-}
-
-/// The four chaos scenarios wired to the hand-written references.
+/// The four protocol scenarios under [`Drive::Recover`], wired to the
+/// hand-written references.
 pub fn chaos_reference_scenarios() -> Vec<Arc<dyn Scenario>> {
-    vec![
-        Arc::new(ChaosPingScenario::reference()),
-        Arc::new(ChaosIgmpScenario::reference()),
-        Arc::new(ChaosNtpScenario::reference()),
-        Arc::new(ChaosBfdScenario::reference()),
-    ]
+    reference_registry(Drive::Recover).scenarios().to_vec()
 }
 
 /// The chaos scenario for `protocol`, from the reference set.

@@ -9,7 +9,13 @@
 //! membership query/report), [`ntp_exchange`] (§6.3 client/server exchange
 //! triggered by the Table 11 timeout rule) and [`bfd_session`] (§6.4
 //! session bring-up, Down → Init → Up).
-
+//!
+//! [`chaos`] holds the per-protocol recovery state machines that the
+//! [`crate::scenario`] types bind under
+//! [`Drive::Recover`](crate::scenario::Drive::Recover), and [`soak`] the
+//! session-scale client/server nodes and responder adapters.  All of them
+//! frame packets through one crate-private module, so each protocol's
+//! wire format is written once.
 //!
 //! The synchronous drivers (`ping_once`, `membership_exchange`,
 //! `client_server_exchange`, `session_bring_up`) are deprecated in favour of
@@ -28,8 +34,7 @@ pub mod traceroute;
 pub use bfd_session::session_bring_up;
 pub use bfd_session::{BfdEndpoint, BringUpReport, ReferenceBfdEndpoint};
 pub use chaos::{
-    chaos_reference_scenario, chaos_reference_scenarios, ChaosBfdScenario, ChaosIgmpScenario,
-    ChaosNtpScenario, ChaosPingScenario, CHAOS_HORIZON_NS, CHAOS_RECOVERY_BOUND_NS,
+    chaos_reference_scenario, chaos_reference_scenarios, CHAOS_HORIZON_NS, CHAOS_RECOVERY_BOUND_NS,
 };
 #[allow(deprecated)]
 pub use igmp::membership_exchange;

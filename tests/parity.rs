@@ -340,7 +340,7 @@ fn bfd_cases() -> Vec<ParityCase> {
     // Full bring-up parity, observed on the event kernel: the generated
     // endpoints and the reference endpoints must leave byte-identical event
     // traces (same packets, same delivery times, same state notes).
-    use sage_repro::netsim::scenario::{run_scenario, BfdFactory, BfdScenario};
+    use sage_repro::netsim::scenario::{run_scenario, BfdFactory, BfdScenario, Drive};
     use std::sync::Arc;
     let gen_program = program.clone();
     let generated_factory: BfdFactory = Arc::new(move |local, remote| {
@@ -352,13 +352,14 @@ fn bfd_cases() -> Vec<ParityCase> {
     });
     let generated_run = run_scenario(&BfdScenario::new(
         "bfd/parity-generated",
+        Drive::Once,
         generated_factory.clone(),
         generated_factory,
         (7, 9),
         (9, 7),
     ))
     .expect("scenario binds");
-    let reference_run = run_scenario(&BfdScenario::reference()).expect("scenario binds");
+    let reference_run = run_scenario(&BfdScenario::reference(Drive::Once)).expect("scenario binds");
     assert!(generated_run.ok(), "{:?}", generated_run.outcome.failures());
     assert!(reference_run.ok(), "{:?}", reference_run.outcome.failures());
     cases.push(ParityCase {

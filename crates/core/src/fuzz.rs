@@ -45,6 +45,7 @@ use sage_spec::corpus::Protocol;
 
 use crate::pool;
 use crate::programs::generate_program;
+use crate::sweep::baseline_json;
 
 /// The protocols a campaign exercises, in grid order.
 pub const FUZZ_PROTOCOLS: [&str; 4] = ["icmp", "igmp", "ntp", "bfd"];
@@ -524,10 +525,11 @@ impl ChaosReport {
     /// so the committed file is byte-identical on every machine) plus
     /// per-protocol `recovery_p50`/`recovery_p99` rollups.
     pub fn to_baseline_json(&self, note: &str) -> String {
-        let mut rows: Vec<(String, usize, u64)> = self
+        let row = |id: String, samples: usize, ns: u64| (id, samples as u64, ns as f64, ns as f64);
+        let mut rows: Vec<_> = self
             .cells
             .iter()
-            .map(|c| (c.bench_id(), 1, c.recovery_ns.unwrap_or(0)))
+            .map(|c| row(c.bench_id(), 1, c.recovery_ns.unwrap_or(0)))
             .collect();
         for protocol in FUZZ_PROTOCOLS {
             if let Some((p50, p99)) = self.recovery_percentiles(protocol) {
@@ -536,42 +538,12 @@ impl ChaosReport {
                     .iter()
                     .filter(|c| c.protocol == protocol && c.recovery_ns.is_some())
                     .count();
-                rows.push((format!("chaos/{protocol}/recovery_p50"), samples, p50));
-                rows.push((format!("chaos/{protocol}/recovery_p99"), samples, p99));
+                rows.push(row(format!("chaos/{protocol}/recovery_p50"), samples, p50));
+                rows.push(row(format!("chaos/{protocol}/recovery_p99"), samples, p99));
             }
         }
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sage-bench-baseline/v1\",\n");
-        out.push_str(&format!("  \"note\": \"{}\",\n", json_escape(note)));
-        out.push_str("  \"benchmarks\": {\n    \"chaos\": [\n");
-        for (i, (id, samples, ns)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\n        \"id\": \"{}\",\n        \"iterations\": {},\n        \"total_ns\": {},\n        \"ns_per_iter\": {}.0\n      }}{}\n",
-                json_escape(id),
-                samples,
-                ns,
-                ns,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        baseline_json("chaos", note, &rows)
     }
-}
-
-/// Escape a string for inclusion in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Judge one chaos run of `scenario` under `schedule`: safety properties

@@ -36,8 +36,9 @@ use sage_netsim::tools::soak::{
     soak_pair_topology, SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
 };
 
-use crate::fuzz::{cell_seed, generated_responders, json_escape};
+use crate::fuzz::{cell_seed, generated_responders};
 use crate::pool;
+use crate::sweep::baseline_json;
 
 /// The shard roles a campaign cycles through, in grid order.
 pub const SOAK_ROLES: [&str; 4] = ["steady", "chaos", "overload", "canary"];
@@ -230,57 +231,26 @@ impl SoakReport {
     /// worker count, and sits in the bench-drift delta table alongside
     /// the wall-clock baselines.
     pub fn to_baseline_json(&self, note: &str) -> String {
-        let mut rows: Vec<(String, usize, u64)> = Vec::new();
-        for stats in self.protocol_stats() {
-            let p = &stats.protocol;
-            rows.push((
-                format!("soak/{p}/delivered"),
-                stats.sessions,
-                stats.delivered,
-            ));
-            rows.push((
-                format!("soak/{p}/throughput_vpps"),
-                stats.sessions,
-                stats.throughput_vpps,
-            ));
-            rows.push((
-                format!("soak/{p}/latency_p50_ns"),
-                stats.sessions,
-                stats.latency_p50_ns,
-            ));
-            rows.push((
-                format!("soak/{p}/latency_p99_ns"),
-                stats.sessions,
-                stats.latency_p99_ns,
-            ));
-            rows.push((format!("soak/{p}/shed"), stats.sessions, stats.shed));
-            rows.push((
-                format!("soak/{p}/quarantines"),
-                stats.sessions,
-                stats.quarantines,
-            ));
-            rows.push((
-                format!("soak/{p}/watchdog_trips"),
-                stats.sessions,
-                stats.watchdog_trips,
-            ));
-        }
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sage-bench-baseline/v1\",\n");
-        out.push_str(&format!("  \"note\": \"{}\",\n", json_escape(note)));
-        out.push_str("  \"benchmarks\": {\n    \"soak\": [\n");
-        for (i, (id, samples, value)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\n        \"id\": \"{}\",\n        \"iterations\": {},\n        \"total_ns\": {},\n        \"ns_per_iter\": {}.0\n      }}{}\n",
-                json_escape(id),
-                samples,
-                value,
-                value,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        let rows: Vec<_> = self
+            .protocol_stats()
+            .iter()
+            .flat_map(|stats| {
+                [
+                    ("delivered", stats.delivered),
+                    ("throughput_vpps", stats.throughput_vpps),
+                    ("latency_p50_ns", stats.latency_p50_ns),
+                    ("latency_p99_ns", stats.latency_p99_ns),
+                    ("shed", stats.shed),
+                    ("quarantines", stats.quarantines),
+                    ("watchdog_trips", stats.watchdog_trips),
+                ]
+                .map(|(metric, value)| {
+                    let id = format!("soak/{}/{metric}", stats.protocol);
+                    (id, stats.sessions as u64, value as f64, value as f64)
+                })
+            })
+            .collect();
+        baseline_json("soak", note, &rows)
     }
 }
 

@@ -160,24 +160,42 @@ impl SweepReport {
     /// schema as the committed `BENCH_*.json` files, so the CI bench-drift
     /// step can diff a fresh `--bench sim` run against it.
     pub fn to_baseline_json(&self, note: &str) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"sage-bench-baseline/v1\",\n");
-        out.push_str(&format!("  \"note\": \"{}\",\n", json_escape(note)));
-        out.push_str("  \"benchmarks\": {\n    \"sim_sweep\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            let total_ns = cell.wall_ns_per_iter * f64::from(self.iterations);
-            out.push_str(&format!(
-                "      {{\n        \"id\": \"{}\",\n        \"iterations\": {},\n        \"total_ns\": {:.0},\n        \"ns_per_iter\": {:.1}\n      }}{}\n",
-                json_escape(&cell.bench_id()),
-                self.iterations,
-                total_ns,
-                cell.wall_ns_per_iter,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        let n = self.iterations;
+        let rows: Vec<_> = self
+            .cells
+            .iter()
+            .map(|c| {
+                (
+                    c.bench_id(),
+                    u64::from(n),
+                    c.wall_ns_per_iter * f64::from(n),
+                    c.wall_ns_per_iter,
+                )
+            })
+            .collect();
+        baseline_json("sim_sweep", note, &rows)
     }
+}
+
+/// A `sage-bench-baseline/v1` document (the schema of the committed
+/// `BENCH_*.json` files) holding one benchmark group of `rows`, each
+/// `(id, iterations, total_ns, ns_per_iter)`.  `total_ns` prints rounded
+/// to a whole number and `ns_per_iter` to one decimal, so whole
+/// nanosecond counts (exact in an `f64` below 2^53) print exactly.
+pub(crate) fn baseline_json(group: &str, note: &str, rows: &[(String, u64, f64, f64)]) -> String {
+    let mut out = format!(
+        "{{\n  \"schema\": \"sage-bench-baseline/v1\",\n  \"note\": \"{}\",\n  \"benchmarks\": {{\n    \"{group}\": [\n",
+        json_escape(note),
+    );
+    for (i, (id, iterations, total_ns, ns_per_iter)) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "      {{\n        \"id\": \"{}\",\n        \"iterations\": {iterations},\n        \"total_ns\": {total_ns:.0},\n        \"ns_per_iter\": {ns_per_iter:.1}\n      }}{}\n",
+            json_escape(id),
+            if i + 1 < rows.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("    ]\n  }\n}\n");
+    out
 }
 
 /// Escape a string for inclusion in a JSON document.

@@ -22,9 +22,11 @@
 //!   network as [`sage_netsim::net::IcmpResponder`]s, into the per-protocol
 //!   scenario drivers of `sage_netsim::tools`, and into the BFD session
 //!   machinery; [`ResponderRegistry`] holds one generated program per
-//!   protocol and dispatches to the right adapter.  Adapters execute on
-//!   the VM by default and fall back to the tree-walker whenever a program
-//!   is outside the lowerable subset;
+//!   protocol and dispatches to the right adapter.  Every adapter states
+//!   its state variables once and runs through one shared runner, which
+//!   seeds them, executes on the VM by default (falling back to the
+//!   tree-walker whenever a program is outside the lowerable subset) and
+//!   reads them back;
 //! * [`harness`] — the tri-engine differential harness: one fuzzed
 //!   exchange run on the VM, the tree-walker and the hand-written
 //!   reference, traces diffed line-for-line and failures shrunk to
@@ -58,8 +60,7 @@ pub use quarantine::{
 };
 pub use responder::{
     generated_chaos_scenarios, generated_chaos_scenarios_in_mode, generated_scenarios,
-    generated_scenarios_in_mode, BfdGeneratedReceiver, ExecMode, GeneratedBfdEndpoint,
-    GeneratedIgmpResponder, GeneratedNtpServer, GeneratedNtpTimeoutPolicy, GeneratedResponder,
-    ResponderRegistry,
+    generated_scenarios_in_mode, ExecMode, GeneratedBfdEndpoint, GeneratedIgmpResponder,
+    GeneratedNtpServer, GeneratedNtpTimeoutPolicy, GeneratedResponder, ResponderRegistry,
 };
 pub use vm::{CompiledFunction, CompiledProgram, VmScratch, VmState};

@@ -22,8 +22,8 @@ use sage_netsim::tools::bfd_session::ReferenceBfdEndpoint;
 use sage_netsim::tools::igmp::ReferenceIgmpResponder;
 use sage_netsim::tools::ntp_exchange::ReferenceNtpServer;
 use sage_netsim::tools::soak::{
-    soak_group, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder,
-    SoakProtocol, SoakResponder,
+    soak_discriminators, soak_group, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder,
+    NtpSoakResponder, SoakProtocol, SoakResponder,
 };
 
 use crate::responder::{
@@ -215,11 +215,6 @@ draining_soak!(
     BfdSoakResponder<GeneratedBfdEndpoint>,
     "Error-draining soak wrapper over the generated BFD endpoint."
 );
-
-/// BFD discriminators for soak session `session`: (client, server) locals.
-fn soak_discriminators(session: u32) -> (u32, u32) {
-    (session * 2 + 1, session * 2 + 2)
-}
 
 /// The hand-written reference soak service for one session — the
 /// quarantine fallback, and the whole engine of reference-only shards.

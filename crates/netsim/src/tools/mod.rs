@@ -48,7 +48,8 @@ pub use ntp_exchange::{
 pub use ping::ping_once;
 pub use ping::PingOutcome;
 pub use soak::{
-    soak_group, soak_pair_topology, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder,
-    NtpSoakResponder, SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
+    soak_discriminators, soak_group, soak_pair_topology, BfdSoakResponder, IcmpSoakResponder,
+    IgmpSoakResponder, NtpSoakResponder, SoakClientNode, SoakProtocol, SoakResponder,
+    SoakServerNode,
 };
 pub use traceroute::{traceroute, Hop, TracerouteReport};

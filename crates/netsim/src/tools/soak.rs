@@ -67,6 +67,13 @@ pub fn soak_group() -> u32 {
     ipv4::addr(224, 0, 0, 251)
 }
 
+/// The BFD discriminators of soak session `session`: (client, server)
+/// locals.  The client and every server engine read them here, so they
+/// cannot drift apart (which would discard every BFD soak packet).
+pub fn soak_discriminators(session: u32) -> (u32, u32) {
+    (session * 2 + 1, session * 2 + 2)
+}
+
 /// A topology of `sessions` disconnected client/server host pairs, each
 /// joined by a private link of `delay_ns` (and optionally a bandwidth
 /// cap).  Client `i` is node `2i` ("c&lt;i&gt;"), server `i` is node `2i + 1`
@@ -297,8 +304,7 @@ impl SoakClientNode {
                     1 => bfd::SessionState::Init,
                     _ => bfd::SessionState::Up,
                 };
-                let local = self.session * 2 + 1;
-                let remote = self.session * 2 + 2;
+                let (local, remote) = soak_discriminators(self.session);
                 let control = bfd::build_control_packet(state, local, remote, 3, false);
                 framing::bfd_datagram(self.client_addr, self.server_addr, &control)
             }
@@ -351,6 +357,7 @@ mod tests {
         session: u32,
         server_addr: u32,
     ) -> Box<dyn SoakResponder> {
+        let (client_discr, server_discr) = soak_discriminators(session);
         match protocol {
             SoakProtocol::Icmp => Box::new(IcmpSoakResponder {
                 inner: ReferenceResponder,
@@ -369,7 +376,7 @@ mod tests {
                 },
             }),
             SoakProtocol::Bfd => Box::new(BfdSoakResponder {
-                inner: ReferenceBfdEndpoint::new(session * 2 + 2, session * 2 + 1),
+                inner: ReferenceBfdEndpoint::new(server_discr, client_discr),
             }),
         }
     }

@@ -4,8 +4,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sage_codegen::handlers::generate_stmts;
 use sage_codegen::program::{assemble_message_functions, AnnotatedLf};
+use sage_core::generate_program;
 use sage_logic::parse_lf;
 use sage_spec::context::{ContextDict, Role};
+use sage_spec::corpus::Protocol;
 
 fn bench_single_lf_to_code(c: &mut Criterion) {
     let ctx = ContextDict {
@@ -51,18 +53,14 @@ fn bench_message_assembly(c: &mut Criterion) {
 fn bench_full_program_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("program_generation");
     group.sample_size(10);
-    group.bench_function("rfc792_full_program", |b| {
-        b.iter(sage_core::generate_icmp_program)
-    });
-    group.bench_function("rfc1112_igmp_program", |b| {
-        b.iter(sage_core::generate_igmp_program)
-    });
-    group.bench_function("rfc1059_ntp_program", |b| {
-        b.iter(sage_core::generate_ntp_program)
-    });
-    group.bench_function("rfc5880_bfd_program", |b| {
-        b.iter(sage_core::generate_bfd_program)
-    });
+    for (id, protocol) in [
+        ("rfc792_full_program", Protocol::Icmp),
+        ("rfc1112_igmp_program", Protocol::Igmp),
+        ("rfc1059_ntp_program", Protocol::Ntp),
+        ("rfc5880_bfd_program", Protocol::Bfd),
+    ] {
+        group.bench_function(id, |b| b.iter(|| generate_program(protocol)));
+    }
     group.finish();
 }
 

@@ -57,7 +57,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             )
         })
     });
-    let program = sage_core::generate_icmp_program();
+    let program = sage_core::generate_program(sage_spec::corpus::Protocol::Icmp);
     group.bench_function("ping_generated_responder", |b| {
         b.iter(|| {
             let mut net = Network::appendix_a();

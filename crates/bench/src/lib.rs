@@ -213,7 +213,7 @@ pub fn render_figure6() -> String {
 
 /// Render the §6.2 end-to-end summary.
 pub fn render_end_to_end() -> String {
-    let program = sage_core::generate_icmp_program();
+    let program = sage_core::generate_program(Protocol::Icmp);
     let result = sage_core::icmp_end_to_end(&program);
     let mut out = String::from("End-to-end ICMP evaluation (§6.2)\n");
     for (scenario, ok) in &result.ping_results {

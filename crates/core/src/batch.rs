@@ -32,6 +32,7 @@ use crate::pipeline::{
 use crate::pool;
 use sage_ccg::ParseResult;
 use sage_spec::context::{context_for, ContextDict, Role};
+use sage_spec::corpus::Protocol;
 use sage_spec::document::{Document, Sentence};
 use std::sync::Mutex;
 
@@ -46,7 +47,7 @@ pub struct BatchItem {
 
 impl BatchItem {
     /// Expand a structured document into batch items, resolving each
-    /// sentence's context up front (mirrors [`Sage::analyze_document`]).
+    /// sentence's context up front (what [`Sage::analyze_document`] analyzes).
     pub fn from_document(doc: &Document) -> Vec<BatchItem> {
         doc.sentences()
             .into_iter()
@@ -57,28 +58,34 @@ impl BatchItem {
             .collect()
     }
 
+    /// The corpus the paper evaluates for `protocol`: the protocol's RFC
+    /// document, except for BFD, whose corpus is the state-management
+    /// sentence list.
+    pub fn corpus(protocol: Protocol) -> Vec<BatchItem> {
+        match protocol {
+            Protocol::Bfd => BatchItem::from_sentences(
+                protocol.name(),
+                sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
+            ),
+            _ => BatchItem::from_document(&protocol.document()),
+        }
+    }
+
     /// The four corpora of the evaluation as one mixed batch, in the order
-    /// the paper evaluates them: the ICMP, IGMP and NTP documents plus the
-    /// BFD state-management sentence list.  Running this through
-    /// [`BatchPipeline::run`] analyzes the whole multi-protocol evaluation
-    /// in a single deterministic pass.
+    /// the paper evaluates them: [`BatchItem::corpus`] of each protocol.
+    /// Running this through [`BatchPipeline::run`] analyzes the whole
+    /// multi-protocol evaluation in a single deterministic pass.
     pub fn mixed_corpus() -> Vec<BatchItem> {
-        use sage_spec::corpus::Protocol;
         let mut items = Vec::new();
         for protocol in Protocol::all() {
-            match protocol {
-                Protocol::Bfd => items.extend(BatchItem::from_sentences(
-                    "BFD",
-                    sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
-                )),
-                _ => items.extend(BatchItem::from_document(&protocol.document())),
-            }
+            items.extend(BatchItem::corpus(protocol));
         }
         items
     }
 
-    /// Wrap a bare sentence list the way [`Sage::analyze_sentences`] does
-    /// (used for the BFD state-management corpus).
+    /// Wrap a bare sentence list as batch items (what
+    /// [`Sage::analyze_sentences`] analyzes; used for the BFD
+    /// state-management corpus).
     pub fn from_sentences(protocol: &str, sentences: &[&str]) -> Vec<BatchItem> {
         sentences
             .iter()
@@ -388,7 +395,6 @@ impl<'s> BatchPipeline<'s> {
 mod tests {
     use super::*;
     use crate::pipeline::SageConfig;
-    use sage_spec::corpus::Protocol;
 
     #[test]
     fn batch_report_matches_sequential_document_analysis() {

@@ -2,6 +2,7 @@
 //! of the paper.  The `sage-bench` binaries print these; `EXPERIMENTS.md`
 //! records measured-vs-paper values.
 
+use crate::batch::BatchItem;
 use crate::pipeline::{Sage, SageConfig, SentenceStatus};
 use sage_ccg::ParserConfig;
 use sage_disambig::stats::{all_check_effects_interned, CheckEffect};
@@ -486,12 +487,7 @@ pub struct Fig5Point {
 /// Regenerate one Figure 5 panel (ICMP = 5a, IGMP = 5b, BFD = 5c).
 pub fn figure5(protocol: Protocol) -> Vec<Fig5Point> {
     let sage = Sage::default();
-    let report = match protocol {
-        Protocol::Bfd => {
-            sage.analyze_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES)
-        }
-        _ => sage.analyze_document(&protocol.document()),
-    };
+    let report = sage.analyze_items(&BatchItem::corpus(protocol));
     let ambiguous: Vec<_> = report
         .analyses
         .iter()

@@ -12,8 +12,6 @@
 //! disambiguated logical form corresponding to the rewritten sentence (the
 //! paper's authors similarly rewrote 5 sentences and re-ran SAGE; §6.5).
 
-use crate::pipeline::{Sage, SentenceStatus};
-use sage_codegen::program::{assemble_message_functions, AnnotatedLf};
 use sage_codegen::Program;
 use sage_interp::GeneratedResponder;
 use sage_logic::{parse_lf, Lf};
@@ -23,9 +21,7 @@ use sage_netsim::tcpdump::decode_packet;
 #[allow(deprecated)] // the synchronous driver stays as the oracle the kernel is pinned against
 use sage_netsim::tools::ping::{ping_once, PingOutcome};
 use sage_netsim::tools::traceroute::traceroute;
-use sage_spec::context::{ContextDict, Role};
-use sage_spec::corpus::Protocol;
-use sage_spec::headers::parse_header_diagram;
+use sage_spec::context::Role;
 
 /// The disambiguated logical forms supplied by the human rewrites, keyed by
 /// the message section they apply to.  These correspond one-to-one to the
@@ -113,68 +109,6 @@ pub fn rewritten_resolutions() -> Vec<(String, Role, &'static str, Lf)> {
         checksum,
     ));
     out
-}
-
-/// Run the pipeline over the ICMP corpus and produce the generated program.
-///
-/// Pipeline-resolved field-value assignments (the Type/Code idiom sentences)
-/// are combined with the human-rewritten resolutions for the reply-forming,
-/// checksum, identifier, gateway and pointer sentences.
-pub fn generate_icmp_program() -> Program {
-    let sage = Sage::default();
-    let doc = Protocol::Icmp.document();
-    let report = sage.analyze_document(&doc);
-
-    let mut annotated: Vec<AnnotatedLf> = Vec::new();
-
-    // 1. Field-value assignments resolved automatically by the pipeline
-    //    (the `Type` / `Code` descriptions: plain assignments only).
-    for analysis in &report.analyses {
-        if analysis.status != SentenceStatus::Resolved {
-            continue;
-        }
-        let Some(lf) = analysis.resolved_lf() else {
-            continue;
-        };
-        let is_simple_assignment = matches!(lf, Lf::Pred(p, args)
-            if *p == sage_logic::PredName::Is && args.len() == 2 && args[1].as_number().is_some());
-        let field_is_type_or_code = matches!(analysis.context.field.as_str(), "type" | "code");
-        if is_simple_assignment && field_is_type_or_code && analysis.sentence.field.is_some() {
-            annotated.push(AnnotatedLf {
-                lf: lf.clone(),
-                context: ContextDict {
-                    role: Role::Receiver,
-                    ..analysis.context.clone()
-                },
-                sentence: analysis.sentence.text.clone(),
-            });
-        }
-    }
-
-    // 2. Human-rewritten resolutions for the flagged sentences.
-    for (section, role, sentence, lf) in rewritten_resolutions() {
-        annotated.push(AnnotatedLf {
-            lf,
-            context: ContextDict {
-                protocol: "ICMP".into(),
-                message: section,
-                field: String::new(),
-                role,
-            },
-            sentence: sentence.to_string(),
-        });
-    }
-
-    let assembly = assemble_message_functions(&annotated);
-
-    // Header structs come straight from the RFC's ASCII art.
-    let structs: Vec<_> = doc
-        .header_diagrams()
-        .iter()
-        .filter_map(|(title, art)| parse_header_diagram(title, art))
-        .collect();
-
-    sage_codegen::program::emit_c_program(&structs, &assembly.functions)
 }
 
 /// The outcome of the §6.2 end-to-end experiments.
@@ -361,10 +295,12 @@ pub fn icmp_end_to_end(program: &Program) -> IcmpEndToEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::generate_program;
+    use sage_spec::corpus::Protocol;
 
     #[test]
     fn generated_program_has_functions_for_all_eight_message_families() {
-        let program = generate_icmp_program();
+        let program = generate_program(Protocol::Icmp);
         for fragment in [
             "echo_or_echo_reply",
             "destination_unreachable",
@@ -392,7 +328,7 @@ mod tests {
 
     #[test]
     fn echo_receiver_reverses_sets_type_and_recomputes() {
-        let program = generate_icmp_program();
+        let program = generate_program(Protocol::Icmp);
         let f = program
             .function("echo_or_echo_reply")
             .expect("echo function");
@@ -404,7 +340,7 @@ mod tests {
 
     #[test]
     fn end_to_end_interoperates_with_simulated_linux_tools() {
-        let program = generate_icmp_program();
+        let program = generate_program(Protocol::Icmp);
         let result = icmp_end_to_end(&program);
         assert!(result.all_ok(), "{result:#?}");
         assert!(result.packets_checked >= 5);

@@ -33,14 +33,11 @@ pub use fuzz::{
     fuzzed_scenarios, generated_responders, run_campaign, FindingKind, FuzzCell, FuzzConfig,
     FuzzFinding, FuzzReport,
 };
-pub use icmp::{generate_icmp_program, icmp_end_to_end, IcmpEndToEnd};
+pub use icmp::{icmp_end_to_end, IcmpEndToEnd};
 pub use pipeline::{
     AnalysisWorkspace, PipelineReport, Sage, SageConfig, SentenceAnalysis, SentenceStatus,
 };
-pub use programs::{
-    generate_bfd_program, generate_igmp_program, generate_ntp_program, generate_program,
-    lowering_summary, LoweringSummary,
-};
+pub use programs::{generate_program, generate_program_from, lowering_summary, LoweringSummary};
 pub use soak::{
     run_soak_campaign, ProtocolSoakStats, SoakConfig, SoakReport, SoakShardStats, SOAK_ROLES,
 };

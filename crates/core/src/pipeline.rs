@@ -1,13 +1,14 @@
 //! The SAGE pipeline: parse → disambiguate → report / generate.
 
-use sage_ccg::overgenerate::{overgenerate, overgenerate_with, OvergenConfig};
+use crate::batch::BatchItem;
+use sage_ccg::overgenerate::{overgenerate_with, OvergenConfig};
 use sage_ccg::{
     parse_sentence, parse_sentence_cached, Lexicon, ParseResult, ParserConfig, ParserWorkspace,
 };
-use sage_disambig::{winnow, WinnowTrace, Winnower};
+use sage_disambig::{WinnowTrace, Winnower};
 use sage_logic::{Interner, Lf, LfArena, PredName, Symbol};
 use sage_nlp::{ChunkerConfig, TermDictionary};
-use sage_spec::context::{context_for, ContextDict};
+use sage_spec::context::ContextDict;
 use sage_spec::document::{Document, Sentence};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,7 +139,7 @@ pub struct Sage {
     dictionary: TermDictionary,
 }
 
-/// Per-worker scratch state for the memoized analysis path.
+/// Per-worker scratch state for the analysis engine.
 ///
 /// The lexicon and configuration live in the shared, read-only [`Sage`];
 /// everything mutable — the [`ParserWorkspace`] (memoized lexicon lookups
@@ -278,10 +279,12 @@ impl Sage {
         result
     }
 
-    /// [`Sage::analyze_sentence`] through a reusable [`AnalysisWorkspace`]:
-    /// lexicon probes are memoized by interned symbol, logical forms are
-    /// hash-consed in the workspace arena, and winnowing compares arena ids
-    /// instead of string trees.  Produces the identical analysis.
+    /// Parse one sentence (with optional subject re-supply) and winnow it
+    /// through a reusable [`AnalysisWorkspace`] — the pipeline's one
+    /// analysis engine: lexicon probes are memoized by interned symbol,
+    /// logical forms are hash-consed in the workspace arena, and winnowing
+    /// compares arena ids instead of string trees.  Memo warmth never
+    /// changes the analysis.
     pub fn analyze_sentence_in(
         &self,
         sentence: &Sentence,
@@ -302,6 +305,10 @@ impl Sage {
             };
         }
 
+        // The field-value idiom: a field description consisting solely of a
+        // value ("Type" followed by "3", or "0 = net unreachable") is turned
+        // into an assignment to the described field (§3, domain-specific
+        // semantics).
         if let Some(lf) = field_value_idiom(text, &context) {
             let trace = ws
                 .winnower
@@ -320,6 +327,8 @@ impl Sage {
 
         let mut result = self.parse_memoized(text, ws);
         let mut subject_supplied = false;
+        // §4.1: re-parse subject-less field descriptions with the field name
+        // supplied as the subject.
         if result.logical_forms.is_empty() {
             if let Some(field) = &sentence.field {
                 let with_subject = format!("The {} is {}", field.to_ascii_lowercase(), text);
@@ -353,123 +362,34 @@ impl Sage {
         }
     }
 
-    /// Parse one sentence (with optional subject re-supply) and winnow it.
+    /// Parse one sentence (with optional subject re-supply) and winnow it,
+    /// on a fresh workspace.  Analyzing many sentences one by one pays for
+    /// a new workspace each time; [`Sage::analyze_items`] shares one.
     pub fn analyze_sentence(&self, sentence: &Sentence, context: ContextDict) -> SentenceAnalysis {
-        let text = sentence.text.trim();
-        if text.is_empty() {
-            return SentenceAnalysis {
-                sentence: sentence.clone(),
-                context,
-                parser_lf_count: 0,
-                base_lf_count: 0,
-                base_lfs: Vec::new(),
-                trace: winnow(&[]),
-                subject_supplied: false,
-                status: SentenceStatus::Skipped,
-            };
-        }
+        self.analyze_sentence_in(sentence, context, &mut self.workspace())
+    }
 
-        // The field-value idiom: a field description consisting solely of a
-        // value ("Type" followed by "3", or "0 = net unreachable") is turned
-        // into an assignment to the described field (§3, domain-specific
-        // semantics).
-        if let Some(lf) = field_value_idiom(text, &context) {
-            let trace = winnow(std::slice::from_ref(&lf));
-            return SentenceAnalysis {
-                sentence: sentence.clone(),
-                context,
-                parser_lf_count: 1,
-                base_lf_count: 1,
-                base_lfs: vec![lf],
-                trace,
-                subject_supplied: false,
-                status: SentenceStatus::Resolved,
-            };
-        }
-
-        let mut result = parse_sentence(
-            text,
-            &self.lexicon,
-            &self.dictionary,
-            self.config.chunker,
-            self.config.parser,
-        );
-        let mut subject_supplied = false;
-
-        // §4.1: re-parse subject-less field descriptions with the field name
-        // supplied as the subject.
-        if result.logical_forms.is_empty() {
-            if let Some(field) = &sentence.field {
-                let with_subject = format!("The {} is {}", field.to_ascii_lowercase(), text);
-                let retry = parse_sentence(
-                    &with_subject,
-                    &self.lexicon,
-                    &self.dictionary,
-                    self.config.chunker,
-                    self.config.parser,
-                );
-                if !retry.logical_forms.is_empty() {
-                    result = retry;
-                    subject_supplied = true;
-                }
-            }
-        }
-
-        let parser_lf_count = result.logical_forms.len();
-        let base = overgenerate(&result.logical_forms, self.config.overgen);
-        let trace = winnow(&base);
-        let status = if base.is_empty() {
-            SentenceStatus::ZeroLf
-        } else if trace.survivors.len() == 1 {
-            SentenceStatus::Resolved
-        } else {
-            SentenceStatus::Ambiguous
-        };
-        SentenceAnalysis {
-            sentence: sentence.clone(),
-            context,
-            parser_lf_count,
-            base_lf_count: base.len(),
-            base_lfs: base,
-            trace,
-            subject_supplied,
-            status,
+    /// Analyze batch items in order on one workspace, so lexicon lookups,
+    /// sentence parses and check verdicts are shared across the whole list.
+    pub fn analyze_items(&self, items: &[BatchItem]) -> PipelineReport {
+        let mut ws = self.workspace();
+        PipelineReport {
+            analyses: items
+                .iter()
+                .map(|item| self.analyze_sentence_in(&item.sentence, item.context.clone(), &mut ws))
+                .collect(),
         }
     }
 
     /// Run the pipeline over every sentence of a document.
     pub fn analyze_document(&self, doc: &Document) -> PipelineReport {
-        let mut report = PipelineReport::default();
-        for sentence in doc.sentences() {
-            let context = context_for(doc, &sentence);
-            report
-                .analyses
-                .push(self.analyze_sentence(&sentence, context));
-        }
-        report
+        self.analyze_items(&BatchItem::from_document(doc))
     }
 
     /// Analyze a bare list of sentences (used for the BFD state-management
     /// corpus, which the paper evaluates as a sentence list).
     pub fn analyze_sentences(&self, protocol: &str, sentences: &[&str]) -> PipelineReport {
-        let mut report = PipelineReport::default();
-        for s in sentences {
-            let sentence = Sentence {
-                text: (*s).to_string(),
-                section: format!("{protocol} state management"),
-                field: None,
-            };
-            let context = ContextDict {
-                protocol: protocol.to_string(),
-                message: sentence.section.clone(),
-                field: String::new(),
-                role: sage_spec::context::Role::Receiver,
-            };
-            report
-                .analyses
-                .push(self.analyze_sentence(&sentence, context));
-        }
-        report
+        self.analyze_items(&BatchItem::from_sentences(protocol, sentences))
     }
 }
 
@@ -508,6 +428,7 @@ pub(crate) fn field_value_idiom(text: &str, context: &ContextDict) -> Option<Lf>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_spec::context::context_for;
     use sage_spec::corpus::Protocol;
 
     #[test]
@@ -644,6 +565,8 @@ mod tests {
 
     #[test]
     fn workspace_path_matches_plain_path_over_icmp_corpus() {
+        // One workspace warmed by every earlier sentence of the corpus
+        // analyzes each sentence exactly as a fresh workspace does.
         let sage = Sage::default();
         let mut ws = sage.workspace();
         let doc = Protocol::Icmp.document();

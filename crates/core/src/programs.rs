@@ -1,11 +1,13 @@
-//! Protocol-generic generated-program builders (§6.3, §6.4).
+//! Generated-program builders for every corpus the paper evaluates (§6.2,
+//! §6.3, §6.4).
 //!
-//! [`generate_program`] extends the ICMP-only path of [`crate::icmp`] to
-//! every corpus the paper evaluates: each builder runs the pipeline over
-//! its protocol's analyzed corpus, keeps the logical forms the pipeline
-//! resolves on its own where they are directly actionable, and supplies
-//! human resolutions for the rest — the same §6.5 mechanism
-//! [`crate::icmp::rewritten_resolutions`] models for RFC 792:
+//! Code generation is a pure function of an analysis:
+//! [`generate_program_from`] reads the analyzed sentences of one protocol,
+//! keeps the logical forms the pipeline resolves on its own where they are
+//! directly actionable, and supplies human resolutions for the rest — the
+//! §6.5 mechanism [`crate::icmp::rewritten_resolutions`] models for RFC 792.
+//! [`generate_program`] analyzes one protocol's corpus and generates from
+//! that.  Beyond ICMP (echo, errors, redirects, timestamps):
 //!
 //! * **IGMP** (RFC 1112, Appendix I): a host-side receiver that answers
 //!   Host Membership Queries with a report for the host's group;
@@ -23,7 +25,8 @@
 //! [`sage_interp::ResponderRegistry`]) and are checked against the
 //! hand-written reference responders in `sage_netsim::tools`.
 
-use crate::pipeline::{PipelineReport, Sage, SentenceStatus};
+use crate::batch::BatchItem;
+use crate::pipeline::{PipelineReport, Sage, SentenceAnalysis, SentenceStatus};
 use sage_codegen::program::{assemble_message_functions, AnnotatedLf};
 use sage_codegen::Program;
 use sage_logic::{parse_lf, Lf, PredName};
@@ -56,14 +59,14 @@ fn annotate(protocol: &str, resolution: Resolution) -> AnnotatedLf {
 }
 
 /// Pipeline-resolved plain field assignments (`@Is(field, number)`) whose
-/// target is in `allowed_fields` — the protocol-generic version of the
-/// Type/Code idiom harvest in [`crate::icmp::generate_icmp_program`].
+/// target is in `allowed_fields` — ICMP's Type/Code idiom sentences, for
+/// example.
 fn resolved_field_assignments(
-    report: &PipelineReport,
+    analyses: &[&SentenceAnalysis],
     allowed_fields: &[&str],
 ) -> Vec<AnnotatedLf> {
     let mut out = Vec::new();
-    for analysis in &report.analyses {
+    for analysis in analyses {
         if analysis.status != SentenceStatus::Resolved {
             continue;
         }
@@ -92,9 +95,9 @@ fn resolved_field_assignments(
 /// Pipeline-resolved RFC 5880 bookkeeping assignments: `@Is('bfd.x',
 /// @Of('value', field))` — the "Set bfd.X to the value of Y" sentences the
 /// pipeline disambiguates on its own (§6.4).
-fn resolved_state_bookkeeping(report: &PipelineReport, section: &str) -> Vec<AnnotatedLf> {
+fn resolved_state_bookkeeping(analyses: &[&SentenceAnalysis], section: &str) -> Vec<AnnotatedLf> {
     let mut out = Vec::new();
-    for analysis in &report.analyses {
+    for analysis in analyses {
         let Some(resolved) = analysis.resolved_lf() else {
             continue;
         };
@@ -320,68 +323,74 @@ pub fn bfd_rewritten_resolutions() -> Vec<Resolution> {
     ]
 }
 
-/// Generate the IGMP host program from the RFC 1112 Appendix I corpus.
-pub fn generate_igmp_program() -> Program {
-    let sage = Sage::default();
-    let doc = Protocol::Igmp.document();
-    let report = sage.analyze_document(&doc);
-    // Pipeline-resolved plain assignments first (none of the Appendix I
-    // field descriptions currently resolve to one — the Type values are
-    // conditional on the message kind — but the harvest keeps the builder
-    // uniform with ICMP), then the human resolutions.
-    let mut annotated = resolved_field_assignments(&report, &["version", "unused"]);
-    annotated.extend(
-        igmp_rewritten_resolutions()
-            .into_iter()
-            .map(|r| annotate("IGMP", r)),
-    );
-    emit(&doc, &annotated)
+/// What a protocol's program takes from the analysis of its corpus.
+enum Harvest {
+    /// Pipeline-resolved plain assignments to these fields.
+    FieldAssignments(&'static [&'static str]),
+    /// BFD's pipeline-resolved `Set bfd.X to the value of Y` bookkeeping.
+    StateBookkeeping,
+    /// Nothing: the program comes from the human resolutions alone.
+    Nothing,
 }
 
-/// Generate the NTP program (Table 11 timeout rule + server reply forming)
-/// from the RFC 1059 corpus.
-pub fn generate_ntp_program() -> Program {
-    let doc = Protocol::Ntp.document();
-    // No Appendix A/B field description resolves to a plain assignment
-    // (they are descriptive prose — `tests/generality.rs` pins the corpus
-    // analysis itself), so there is no resolved-assignment harvest to pay
-    // for here: the program comes from the human resolutions alone.
-    let annotated: Vec<AnnotatedLf> = ntp_rewritten_resolutions()
-        .into_iter()
-        .map(|r| annotate("NTP", r))
-        .collect();
-    emit(&doc, &annotated)
-}
-
-/// Generate the BFD reception program from the RFC 5880 §6.8.6 sentence
-/// corpus: the pipeline-resolved bookkeeping assignments plus the human
-/// resolutions for the flagged sentences.
-pub fn generate_bfd_program() -> Program {
-    let sage = Sage::default();
-    let doc = Protocol::Bfd.document();
-    let report = sage.analyze_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
-    // Bookkeeping assignments execute before the discard guards in the
-    // emitted order, which is observably equivalent: a discarded packet's
-    // environment is dropped wholesale by every adapter.
-    let mut annotated = resolved_state_bookkeeping(&report, BFD_RECEPTION_SECTION);
-    annotated.extend(
-        bfd_rewritten_resolutions()
-            .into_iter()
-            .map(|r| annotate("BFD", r)),
-    );
-    emit(&doc, &annotated)
-}
-
-/// Generate the program for any of the four corpora — the protocol-generic
-/// entry point over [`crate::icmp::generate_icmp_program`] and the builders
-/// above.
-pub fn generate_program(protocol: Protocol) -> Program {
+/// What `protocol`'s program harvests from the analysis of its corpus.
+fn harvest(protocol: Protocol) -> Harvest {
     match protocol {
-        Protocol::Icmp => crate::icmp::generate_icmp_program(),
-        Protocol::Igmp => generate_igmp_program(),
-        Protocol::Ntp => generate_ntp_program(),
-        Protocol::Bfd => generate_bfd_program(),
+        // The Type/Code field-value idiom sentences.
+        Protocol::Icmp => Harvest::FieldAssignments(&["type", "code"]),
+        // None of the Appendix I field descriptions currently resolves to
+        // a plain assignment — the Type values are conditional on the
+        // message kind — but the harvest keeps the builder uniform with
+        // ICMP.
+        Protocol::Igmp => Harvest::FieldAssignments(&["version", "unused"]),
+        // No Appendix A/B field description resolves to a plain assignment
+        // (they are descriptive prose — `tests/generality.rs` pins the
+        // corpus analysis itself).
+        Protocol::Ntp => Harvest::Nothing,
+        // Bookkeeping assignments execute before the discard guards in the
+        // emitted order, which is observably equivalent: a discarded
+        // packet's environment is dropped wholesale by every adapter.
+        Protocol::Bfd => Harvest::StateBookkeeping,
     }
+}
+
+/// Generate `protocol`'s program from an analysis: the pipeline-resolved
+/// logical forms the protocol's program harvests, then its human
+/// resolutions, assembled per message and emitted with the header structs
+/// of the protocol's RFC diagrams.  Only the analyses whose context names
+/// `protocol` are read, in report order, so a report of the whole mixed
+/// corpus generates the same program as one of `protocol`'s corpus alone.
+pub fn generate_program_from(protocol: Protocol, report: &PipelineReport) -> Program {
+    let name = protocol.name();
+    let analyses: Vec<&SentenceAnalysis> = report
+        .analyses
+        .iter()
+        .filter(|a| a.context.protocol == name)
+        .collect();
+    let mut annotated = match harvest(protocol) {
+        Harvest::FieldAssignments(fields) => resolved_field_assignments(&analyses, fields),
+        Harvest::StateBookkeeping => resolved_state_bookkeeping(&analyses, BFD_RECEPTION_SECTION),
+        Harvest::Nothing => Vec::new(),
+    };
+    let resolutions = match protocol {
+        Protocol::Icmp => crate::icmp::rewritten_resolutions(),
+        Protocol::Igmp => igmp_rewritten_resolutions(),
+        Protocol::Ntp => ntp_rewritten_resolutions(),
+        Protocol::Bfd => bfd_rewritten_resolutions(),
+    };
+    annotated.extend(resolutions.into_iter().map(|r| annotate(name, r)));
+    emit(&protocol.document(), &annotated)
+}
+
+/// Analyze `protocol`'s corpus ([`BatchItem::corpus`]) on one workspace and
+/// generate its program from the analysis.  A protocol whose program
+/// harvests nothing from the analysis (NTP) skips it.
+pub fn generate_program(protocol: Protocol) -> Program {
+    let report = match harvest(protocol) {
+        Harvest::Nothing => PipelineReport::default(),
+        _ => Sage::default().analyze_items(&BatchItem::corpus(protocol)),
+    };
+    generate_program_from(protocol, &report)
 }
 
 /// How a generated program lowers to the register bytecode VM: the
@@ -446,7 +455,7 @@ mod tests {
 
     #[test]
     fn igmp_program_forms_reports_and_ignores_reports() {
-        let program = generate_igmp_program();
+        let program = generate_program(Protocol::Igmp);
         let f = program
             .functions
             .iter()
@@ -461,7 +470,7 @@ mod tests {
 
     #[test]
     fn ntp_program_has_timeout_and_server_functions() {
-        let program = generate_ntp_program();
+        let program = generate_program(Protocol::Ntp);
         let timeout = program.function("timeout").expect("timeout function");
         let c = timeout.to_c();
         assert!(c.contains("peer.timer >= peer.threshold"));
@@ -476,7 +485,7 @@ mod tests {
 
     #[test]
     fn bfd_program_includes_pipeline_resolved_bookkeeping() {
-        let program = generate_bfd_program();
+        let program = generate_program(Protocol::Bfd);
         let f = program.function("reception").expect("reception function");
         let c = f.to_c();
         // The three corpus-resolved "Set bfd.X to the value of Y" sentences.
@@ -515,7 +524,8 @@ mod tests {
         let sage = Sage::default();
         let report =
             sage.analyze_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
-        let harvested = resolved_state_bookkeeping(&report, BFD_RECEPTION_SECTION);
+        let analyses: Vec<&SentenceAnalysis> = report.analyses.iter().collect();
+        let harvested = resolved_state_bookkeeping(&analyses, BFD_RECEPTION_SECTION);
         assert_eq!(harvested.len(), 3, "{harvested:#?}");
         for a in &harvested {
             assert!(a.sentence.starts_with("Set bfd."));

@@ -11,13 +11,14 @@
 // kernel `Scenario` traces are pinned against (tests/scenario_parity.rs).
 #![allow(deprecated)]
 
-use sage_repro::core::programs::generate_bfd_program;
+use sage_repro::core::programs::generate_program;
 use sage_repro::interp::GeneratedBfdEndpoint;
 use sage_repro::netsim::tools::bfd_session::{session_bring_up, ReferenceBfdEndpoint};
+use sage_repro::spec::corpus::Protocol;
 
 fn main() {
     println!("generating BFD reception code from the RFC 5880 §6.8.6 corpus...\n");
-    let program = generate_bfd_program();
+    let program = generate_program(Protocol::Bfd);
 
     println!("--- generated C-like source ---");
     if let Some(f) = program.function("reception") {

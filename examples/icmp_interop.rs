@@ -6,11 +6,12 @@
 //! cargo run --example icmp_interop
 //! ```
 
-use sage_repro::core::{generate_icmp_program, icmp_end_to_end};
+use sage_repro::core::{generate_program, icmp_end_to_end};
+use sage_repro::spec::corpus::Protocol;
 
 fn main() {
     println!("generating ICMP implementation from the RFC 792 corpus...\n");
-    let program = generate_icmp_program();
+    let program = generate_program(Protocol::Icmp);
 
     println!("generated header structs: {}", program.structs.len());
     println!("generated functions:");

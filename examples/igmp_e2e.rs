@@ -10,16 +10,17 @@
 // kernel `Scenario` traces are pinned against (tests/scenario_parity.rs).
 #![allow(deprecated)]
 
-use sage_repro::core::programs::generate_igmp_program;
+use sage_repro::core::programs::generate_program;
 use sage_repro::interp::GeneratedIgmpResponder;
 use sage_repro::netsim::headers::ipv4;
 use sage_repro::netsim::net::Network;
 use sage_repro::netsim::tcpdump::decode_packet;
 use sage_repro::netsim::tools::igmp::membership_exchange;
+use sage_repro::spec::corpus::Protocol;
 
 fn main() {
     println!("generating IGMP host code from the RFC 1112 Appendix I corpus...\n");
-    let program = generate_igmp_program();
+    let program = generate_program(Protocol::Igmp);
 
     println!("generated header structs: {}", program.structs.len());
     println!("generated functions:");

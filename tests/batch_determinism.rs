@@ -1,6 +1,10 @@
 //! Determinism guarantees of the batched pipeline engine: the merged report
 //! must be byte-identical whether the ICMP corpus is processed by 1, 2 or 8
-//! workers, and must agree with the sequential single-sentence loop.
+//! workers, and must agree with the sequential loop.  Both run the one
+//! analysis engine (`Sage::analyze_sentence_in`); the batch adds phase-1
+//! parse sharing and parse-memo preloading across workers, which the
+//! comparison with the sequential loop's inline memo pins.  The analysis
+//! itself is pinned end to end by `tests/golden/batch_mixed_corpus.txt`.
 
 use sage_repro::core::batch::{BatchItem, BatchPipeline};
 use sage_repro::core::pipeline::{Sage, SentenceStatus};
@@ -25,6 +29,8 @@ fn icmp_batch_reports_are_byte_identical_across_worker_counts() {
     assert!(rendered[0].lines().count() > items.len());
 }
 
+/// The batch's shared phase-1 parses and preloaded worker memos yield the
+/// analysis the sequential loop gets from its own inline parse memo.
 #[test]
 fn batch_report_agrees_with_sequential_pipeline() {
     let sage = Sage::default();
@@ -57,19 +63,13 @@ fn mixed_four_protocol_batch_is_byte_identical_across_worker_counts() {
         .collect();
     assert_eq!(rendered[0], rendered[1], "1 vs 2 workers diverged");
     assert_eq!(rendered[0], rendered[2], "1 vs 8 workers diverged");
-    // The mixed batch agrees with the per-corpus sequential pipelines run
-    // back to back.
+    // The mixed batch, with its parses shared and preloaded across
+    // workers, agrees with the per-corpus sequential loops (each parsing
+    // through its own inline memo) run back to back.
     let batch = BatchPipeline::new(&sage).with_workers(4).run(&items);
     let mut sequential = Vec::new();
     for p in Protocol::all() {
-        let report = match p {
-            Protocol::Bfd => sage.analyze_sentences(
-                "BFD",
-                sage_repro::spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
-            ),
-            _ => sage.analyze_document(&p.document()),
-        };
-        sequential.extend(report.analyses);
+        sequential.extend(sage.analyze_items(&BatchItem::corpus(p)).analyses);
     }
     assert_eq!(batch.into_pipeline_report().analyses, sequential);
 }

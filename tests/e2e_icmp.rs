@@ -7,17 +7,18 @@
 // oracles that `tests/scenario_parity.rs` pins the kernel traces against.
 #![allow(deprecated)]
 
-use sage_repro::core::{generate_icmp_program, icmp_end_to_end};
+use sage_repro::core::{generate_program, icmp_end_to_end};
 use sage_repro::interp::GeneratedResponder;
 use sage_repro::netsim::headers::{icmp, ipv4};
 use sage_repro::netsim::net::{Network, RouterAction};
 use sage_repro::netsim::pcap::{read_pcap, PcapWriter};
 use sage_repro::netsim::tcpdump::decode_packet;
 use sage_repro::netsim::tools::ping::ping_once;
+use sage_repro::spec::corpus::Protocol;
 
 #[test]
 fn generated_icmp_interoperates_end_to_end() {
-    let program = generate_icmp_program();
+    let program = generate_program(Protocol::Icmp);
     let result = icmp_end_to_end(&program);
     assert!(result.all_ok(), "{result:#?}");
     assert!(result.packets_checked >= 5);
@@ -29,7 +30,7 @@ fn generated_icmp_interoperates_end_to_end() {
 
 #[test]
 fn all_eight_message_scenarios_produce_clean_captures() {
-    let program = generate_icmp_program();
+    let program = generate_program(Protocol::Icmp);
     let client = ipv4::addr(10, 0, 1, 100);
     let router = ipv4::addr(10, 0, 1, 1);
     let mut net = Network::appendix_a();
@@ -171,7 +172,7 @@ fn faulty_student_implementations_fail_ping_but_generated_code_passes() {
     assert!(!outcome.success());
 
     // The SAGE-generated implementation passes the same test.
-    let program = generate_icmp_program();
+    let program = generate_program(Protocol::Icmp);
     let mut net = Network::appendix_a();
     let mut generated = GeneratedResponder::new(program);
     let outcome = ping_once(

@@ -1,18 +1,30 @@
 //! Golden snapshot tests for the evaluation harness: the rendered Tables
-//! 2–11 and Figures 5–6 text output is committed under `tests/golden/` and
-//! diffed against the live `sage_core::evaluation` output, so a report
-//! regression fails tier-1 immediately.
+//! 2–11 and Figures 5–6 text output, plus the batch report of the
+//! four-corpus mixed batch, is committed under `tests/golden/` and diffed
+//! against the live output, so a report regression fails tier-1
+//! immediately.  The batch snapshot pins every sentence's status, stage
+//! counts and resolved logical form end to end.
 //!
 //! To refresh after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test --test golden_reports` — then review the diff.
 
 use sage_bench as render;
+use sage_repro::core::batch::{BatchItem, BatchPipeline};
+use sage_repro::core::pipeline::Sage;
 use sage_repro::spec::corpus::Protocol;
 use std::fs;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+fn render_mixed_batch() -> String {
+    let sage = Sage::default();
+    BatchPipeline::new(&sage)
+        .with_workers(1)
+        .run(&BatchItem::mixed_corpus())
+        .render()
 }
 
 fn snapshots() -> Vec<(&'static str, String)> {
@@ -37,6 +49,7 @@ fn snapshots() -> Vec<(&'static str, String)> {
             "disambiguation_summary",
             render::render_disambiguation_summary(),
         ),
+        ("batch_mixed_corpus", render_mixed_batch()),
     ]
 }
 

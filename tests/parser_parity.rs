@@ -10,6 +10,7 @@
 //! arena ids.
 
 use sage_ccg::{parse_sentence_cached, reference, Lexicon, ParserConfig, ParserWorkspace};
+use sage_core::batch::BatchItem;
 use sage_logic::{LfArena, LfId};
 use sage_nlp::{ChunkerConfig, TermDictionary};
 use sage_spec::corpus::Protocol;
@@ -20,18 +21,10 @@ use std::collections::BTreeSet;
 fn corpus_sentences() -> Vec<(&'static str, Vec<String>)> {
     let mut out = Vec::new();
     for protocol in Protocol::all() {
-        let sentences: Vec<String> = match protocol {
-            Protocol::Bfd => sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect(),
-            _ => protocol
-                .document()
-                .sentences()
-                .into_iter()
-                .map(|s| s.text)
-                .collect(),
-        };
+        let sentences: Vec<String> = BatchItem::corpus(protocol)
+            .into_iter()
+            .map(|item| item.sentence.text)
+            .collect();
         out.push((protocol.name(), sentences));
     }
     out

@@ -11,6 +11,7 @@
 //! verdict.
 
 use proptest::prelude::*;
+use sage_repro::core::batch::BatchItem;
 use sage_repro::core::pipeline::Sage;
 use sage_repro::disambig::stats::{all_check_effects, all_check_effects_interned};
 use sage_repro::disambig::Winnower;
@@ -24,13 +25,7 @@ fn corpus_base_sets() -> Vec<Vec<Lf>> {
     let sage = Sage::default();
     let mut sets = Vec::new();
     for protocol in Protocol::all() {
-        let report = match protocol {
-            Protocol::Bfd => sage.analyze_sentences(
-                "BFD",
-                sage_repro::spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
-            ),
-            _ => sage.analyze_document(&protocol.document()),
-        };
+        let report = sage.analyze_items(&BatchItem::corpus(protocol));
         sets.extend(
             report
                 .analyses

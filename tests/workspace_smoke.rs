@@ -32,7 +32,9 @@ fn every_reexported_crate_is_reachable() {
     assert!(stmts.is_ok(), "codegen handles the Table 4 LF");
     let echo = icmp::build_echo(false, 1, 1, b"x");
     assert!(icmp::checksum_ok(&echo), "netsim builds a verifying echo");
-    let _ = GeneratedResponder::new(sage_repro::core::generate_icmp_program());
+    let _ = GeneratedResponder::new(sage_repro::core::generate_program(
+        sage_repro::spec::corpus::Protocol::Icmp,
+    ));
 }
 
 /// The README's "protocol-generic path" snippet claims it cannot rot
